@@ -1,9 +1,12 @@
 """Hot numeric kernels for the dual subgradient loops and water-filling.
 
-Everything here is written so that it runs identically with and without
-numba; see :mod:`relaypair._numba` for the backend switch.  The per-iteration
-score matrices are O(M^2) and dominate the solver runtime, so the
-pre-trigger subgradient phases are fused into single compiled loops.
+Everything here is plain vectorized numpy.  The per-iteration score matrices
+are O(M^2) and dominate the solver runtime, so each pre-trigger subgradient
+phase allocates its M x M buffers once and the score kernels write into them
+(the ``out`` keyword) instead of allocating fresh matrices every iteration.
+Water-filling and the source-pinned ``nu_solve`` are exact: channels are
+sorted by the water level at which they switch on, and cumulative sums give
+the level at which the active set meets the budget.
 
 Conventions: ``mu`` prices are floored at ``MU_FLOOR`` wherever they divide,
 row index k is the first-slot subcarrier, column index m the second-slot
@@ -12,166 +15,159 @@ subcarrier.  Ties in argmax/argmin resolve to the smallest index.
 
 import numpy as np
 
-from ._numba import njit
-
 MU_FLOOR = 1e-12
 _BIG = 1e300
 
 
-@njit(cache=True)
-def _inv_gain(gains):
-    return np.where(gains > 0.0, 1.0 / np.maximum(gains, 1e-300), np.full(gains.shape, _BIG))
+def _inv_gain(gains, out=None):
+    """1/a where a > 0, and _BIG (a channel that never switches on) elsewhere."""
+    out = np.maximum(gains, 1e-300, out=out)
+    np.divide(1.0, out, out=out)
+    np.copyto(out, _BIG, where=gains <= 0.0)
+    return out
+
+
+def _buffers(m, n):
+    return tuple(np.empty((m, m)) for _ in range(n))
+
+
+def _mode_buffers(m, n):
+    """n float buffers plus the bool relay-use buffer of the extra-direct kernels."""
+    return _buffers(m, n) + (np.empty((m, m), dtype=bool),)
+
+
+def _level(thresh, slope, icpt, budget):
+    """Water level nu at which the channels switched on use exactly ``budget``.
+
+    Channel i is on above ``thresh[i]`` and then uses ``slope[i] * nu -
+    icpt[i]`` of the budget.  Walking the channels in threshold order, the
+    level of the first active set that does not reach the next threshold is
+    the answer (Palomar & Fonollosa, IEEE TSP 2005).
+    """
+    order = thresh.argsort()
+    cand = (budget + icpt[order].cumsum()) / slope[order].cumsum()
+    stops = (cand[:-1] <= thresh[order[1:]]).nonzero()[0]
+    return cand[stops[0]] if stops.size else cand[-1]
+
+
+def _relay_terms(wcol, gains, inv, price, p, y, work):
+    """Water-filled pair power p = [w/(2 price) - 1/a]^+ and its Lagrangian
+    y = (w/2) log(1 + a p) - price p, written into the M x M buffers p and y.
+
+    ``price`` is a scalar or an M x M matrix and may be the ``work`` buffer;
+    ``inv`` may be the ``y`` buffer (both are read before being overwritten).
+    """
+    np.multiply(price, 2.0, out=p)
+    np.divide(wcol, p, out=p)
+    np.subtract(p, inv, out=p)
+    np.maximum(p, 0.0, out=p)
+    np.multiply(price, p, out=work)
+    np.multiply(gains, p, out=y)
+    np.log1p(y, out=y)
+    y *= 0.5 * wcol
+    y -= work
+
+
+def _relative_step(new, old):
+    return abs(new - old) / max(abs(new), MU_FLOOR)
+
+
+def _alpha_step(alpha, counts, step):
+    """Subgradient step on the pairing prices (in place); returns the step
+    length relative to the new prices."""
+    d = step * (1.0 - counts)
+    alpha -= d
+    return np.sqrt(d @ d) / max(np.sqrt(alpha @ alpha), MU_FLOOR)
 
 
 # -- water-filling ----------------------------------------------------------
 
-@njit(cache=True)
-def _wf_sum(gains, weights, mu):
-    total = 0.0
-    for i in range(gains.shape[0]):
-        if gains[i] > 0.0 and weights[i] > 0.0:
-            p = weights[i] / (2.0 * mu) - 1.0 / gains[i]
-            if p > 0.0:
-                total += p
-    return total
-
-
-@njit(cache=True)
 def waterfill_kernel(gains, weights, budget):
     """Weighted water-filling p_i = [w_i/(2 mu) - 1/a_i]^+ meeting the budget.
 
-    Returns (powers, mu).  mu is found by bisection, then the powers get one
-    linear correction so the budget matches to machine precision.
+    Returns (powers, mu).  Channel i switches on once the level nu = 1/(2 mu)
+    exceeds 1/(w_i a_i); the exact level comes from cumulative sums of w and
+    1/a over the channels sorted by that threshold.
     """
-    n = gains.shape[0]
-    powers = np.zeros(n)
-    wa_max = 0.0
-    for i in range(n):
-        wa = weights[i] * gains[i]
-        if wa > wa_max:
-            wa_max = wa
-    if budget <= 0.0 or wa_max <= 0.0:
-        return powers, 0.5 * wa_max
-
-    mu_hi = 0.5 * wa_max  # all powers zero at or above this price
-    mu_lo = mu_hi
-    for _ in range(4000):
-        mu_lo *= 0.5
-        if _wf_sum(gains, weights, mu_lo) >= budget:
-            break
-    for _ in range(200):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if _wf_sum(gains, weights, mid) > budget:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-        if mu_hi - mu_lo <= 1e-15 * mu_hi:
-            break
-    mu = 0.5 * (mu_lo + mu_hi)
-
-    used = 0.0
-    w_active = 0.0
-    for i in range(n):
-        if gains[i] > 0.0 and weights[i] > 0.0:
-            p = weights[i] / (2.0 * mu) - 1.0 / gains[i]
-            if p > 0.0:
-                powers[i] = p
-                used += p
-                w_active += weights[i]
-    if w_active > 0.0:
-        dnu = (budget - used) / w_active
-        for i in range(n):
-            if powers[i] > 0.0:
-                powers[i] = max(powers[i] + weights[i] * dnu, 0.0)
-    return powers, mu
+    powers = np.zeros(gains.shape[0])
+    wa = weights * gains
+    idx = (wa > 0.0).nonzero()[0]
+    if budget <= 0.0 or idx.size == 0:
+        return powers, 0.5 * wa.max(initial=0.0)
+    w = weights[idx]
+    inv = 1.0 / gains[idx]
+    thresh = 1.0 / wa[idx]
+    nu = _level(thresh, w, inv, budget)
+    on = thresh < nu
+    w_on = w[on]
+    p = w_on * nu - inv[on]
+    # w nu - 1/a cancels when 1/a dwarfs the power; one linear correction
+    # puts the rounding back so the budget is met to machine precision (no
+    # channel is on only when the budget is below the rounding of nu)
+    if p.size:
+        p += w_on * ((budget - p.sum()) / w_on.sum())
+    powers[idx[on]] = np.maximum(p, 0.0)
+    return powers, 0.5 / nu
 
 
-@njit(cache=True)
 def waterfill_residual(gains, weights, budget, powers):
     """Max KKT violation (stationarity, complementary slackness, budget)."""
-    n = gains.shape[0]
-    mu_est = 0.0
-    for i in range(n):
-        if gains[i] > 0.0 and weights[i] > 0.0:
-            lvl = 0.5 * weights[i] / (1.0 / gains[i] + powers[i])
-            if lvl > mu_est:
-                mu_est = lvl
+    act = (gains > 0.0) & (weights > 0.0)
+    lvl = 0.5 * weights[act] / (1.0 / gains[act] + powers[act])
+    mu_est = lvl.max(initial=0.0)
     res = abs(budget - powers.sum()) / max(1.0, budget)
-    for i in range(n):
-        if powers[i] > 0.0 and gains[i] > 0.0 and weights[i] > 0.0:
-            lvl = 0.5 * weights[i] / (1.0 / gains[i] + powers[i])
-            dev = abs(lvl - mu_est) / max(mu_est, 1e-300)
-            if dev > res:
-                res = dev
-    return res
+    dev = np.abs(lvl[powers[act] > 0.0] - mu_est) / max(mu_est, 1e-300)
+    return max(res, dev.max(initial=0.0))
 
 
 # -- total power constraint -------------------------------------------------
 
-@njit(cache=True)
-def total_scores(w, gains, mu, alpha):
-    """Per-pair score X and candidate power at duals (mu, alpha)."""
-    m = w.shape[0]
-    mu_eff = max(mu, MU_FLOOR)
-    wcol = w.reshape(-1, 1)
-    inv = _inv_gain(gains)
-    powers = np.maximum(wcol / (2.0 * mu_eff) - inv, 0.0)
-    rates = 0.5 * wcol * np.log1p(gains * powers)
-    scores = rates - alpha.reshape(1, -1) - mu_eff * powers
+def total_scores(w, gains, mu, alpha, inv=None, out=None):
+    """Per-pair score X and candidate power at duals (mu, alpha).
+
+    ``inv`` is ``_inv_gain(gains)`` if the caller keeps it; ``out`` is three
+    M x M buffers, the first two of which receive (scores, powers).
+    """
+    scores, powers, work = out if out is not None else _buffers(w.shape[0], 3)
+    if inv is None:
+        inv = _inv_gain(gains)
+    _relay_terms(w.reshape(-1, 1), gains, inv, max(mu, MU_FLOOR),
+                 powers, scores, work)
+    scores -= alpha
     return scores, powers
 
 
-@njit(cache=True)
 def total_phase1(w, gains, budget, mu, alpha, step_scale, eps, max_hard,
-                 min_iter, trace):
+                 min_iter, trace=None):
     """Subgradient iteration until the duals settle within eps.
 
-    Mutates alpha in place, fills trace rows (mu, |alpha|, power_sum, dual),
-    and returns (iterations, mu, dual_min, converged).
+    Mutates alpha in place, fills trace rows (mu, |alpha|, power_sum, dual)
+    unless trace is None, and returns (iterations, mu, dual_min, converged).
     """
     m = w.shape[0]
+    rows = np.arange(m)
+    inv = _inv_gain(gains)  # gains stay fixed during the phase
+    out = _buffers(m, 3)
     dual_min = np.inf
     i = 0
     consec = 0
     converged = False
     while i < max_hard:
         i += 1
-        mu_eff = max(mu, MU_FLOOR)
-        scores, powers = total_scores(w, gains, mu, alpha)
-        counts = np.zeros(m)
-        power_sum = 0.0
-        best_sum = 0.0
-        for k in range(m):
-            sel = np.argmax(scores[k])
-            counts[sel] += 1.0
-            power_sum += powers[k, sel]
-            best_sum += scores[k, sel]
-        dual = best_sum + mu_eff * budget + alpha.sum()
-        if dual < dual_min:
-            dual_min = dual
-        trace[i - 1, 0] = mu
-        trace[i - 1, 1] = np.sqrt(np.sum(alpha * alpha))
-        trace[i - 1, 2] = power_sum
-        trace[i - 1, 3] = dual
+        scores, powers = total_scores(w, gains, mu, alpha, inv=inv, out=out)
+        sel = scores.argmax(axis=1)
+        power_sum = powers[rows, sel].sum()
+        dual = scores[rows, sel].sum() + max(mu, MU_FLOOR) * budget + alpha.sum()
+        dual_min = min(dual_min, dual)
+        if trace is not None:
+            trace[i - 1] = (mu, np.sqrt(alpha @ alpha), power_sum, dual)
 
         step = step_scale / np.sqrt(i)
-        new_mu = mu - step * (budget - power_sum)
-        if new_mu < 0.0:
-            new_mu = 0.0
-        d_alpha_sq = 0.0
-        alpha_sq = 0.0
-        for j in range(m):
-            d = step * (1.0 - counts[j])
-            alpha[j] -= d
-            d_alpha_sq += d * d
-            alpha_sq += alpha[j] * alpha[j]
-        mu_ok = abs(new_mu - mu) / max(abs(new_mu), MU_FLOOR) < eps
-        al_ok = np.sqrt(d_alpha_sq) / max(np.sqrt(alpha_sq), MU_FLOOR) < eps
+        new_mu = max(mu - step * (budget - power_sum), 0.0)
+        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
+        ok = _relative_step(new_mu, mu) < eps and al_rel < eps
         mu = new_mu
-        if mu_ok and al_ok:
-            consec += 1
-        else:
-            consec = 0
+        consec = consec + 1 if ok else 0
         if consec >= 3 and i >= min_iter:
             converged = True
             break
@@ -180,88 +176,83 @@ def total_phase1(w, gains, budget, mu, alpha, step_scale, eps, max_hard,
 
 # -- individual power constraints -------------------------------------------
 
-@njit(cache=True)
-def ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r):
+def ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r, out=None):
     """Mode-dependent equivalent gain and power split at the current price ratio.
 
     The relay branch applies when a_sr > a_sd and a_rd >= a_sd * mu_r/mu_s;
     the boundary (intermediate) case is folded into the relay branch.
+    ``out`` is three M x M buffers that receive (gains, c_s, c_r).
     """
-    m = a_sd.shape[0]
+    gains, c_s, c_r = out if out is not None else _buffers(a_sd.shape[0], 3)
     ratio = max(mu_r, MU_FLOOR) / max(mu_s, MU_FLOOR)
-    asr = a_sr.reshape(-1, 1) + np.zeros((m, m))
-    asd = a_sd.reshape(-1, 1) + np.zeros((m, m))
-    ard = a_rd.reshape(1, -1) + np.zeros((m, m))
-    relay = (asr > asd) & (ard >= asd * ratio)
-    denom = np.where(relay, asr + ard - asd, 1.0)
-    gains = np.where(relay, asr * ard / denom, asd)
-    c_s = np.where(relay, ard / denom, np.ones((m, m)))
-    c_r = np.where(relay, (asr - asd) / denom, np.zeros((m, m)))
+    asd = a_sd.reshape(-1, 1)
+    asr = a_sr.reshape(-1, 1)
+    ard = a_rd.reshape(1, -1)
+    direct = ~((asr > asd) & (ard >= asd * ratio))
+    # c_s first holds the relay-branch denominator, 1 on direct pairs
+    np.add(asr, ard, out=c_s)
+    c_s -= asd
+    np.copyto(c_s, 1.0, where=direct)
+    np.multiply(asr, ard, out=gains)
+    gains /= c_s
+    np.subtract(asr, asd, out=c_r)
+    c_r /= c_s
+    np.divide(ard, c_s, out=c_s)
+    np.copyto(gains, asd, where=direct)
+    np.copyto(c_s, 1.0, where=direct)
+    np.copyto(c_r, 0.0, where=direct)
     return gains, c_s, c_r
 
 
-@njit(cache=True)
-def ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha):
-    mu_s_eff = max(mu_s, MU_FLOOR)
-    mu_r_eff = max(mu_r, MU_FLOOR)
-    wcol = w.reshape(-1, 1)
-    price = c_s * mu_s_eff + c_r * mu_r_eff
-    inv = _inv_gain(gains)
-    powers = np.maximum(wcol / (2.0 * price) - inv, 0.0)
-    rates = 0.5 * wcol * np.log1p(gains * powers)
-    scores = rates - alpha.reshape(1, -1) - price * powers
+def ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha, out=None):
+    """Per-pair score and power with pair power priced at c_s mu_s + c_r mu_r.
+
+    ``out`` is three M x M buffers, the first two of which receive
+    (scores, powers).
+    """
+    scores, powers, work = out if out is not None else _buffers(w.shape[0], 3)
+    np.multiply(c_s, max(mu_s, MU_FLOOR), out=work)
+    np.multiply(c_r, max(mu_r, MU_FLOOR), out=powers)
+    work += powers
+    _relay_terms(w.reshape(-1, 1), gains, _inv_gain(gains, out=scores), work,
+                 powers, scores, work)
+    scores -= alpha
     return scores, powers
 
 
-@njit(cache=True)
 def ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
-               step_scale, eps, max_hard, min_iter, trace):
+               step_scale, eps, max_hard, min_iter, trace=None):
     m = w.shape[0]
+    rows = np.arange(m)
+    tables = _buffers(m, 3)
+    out = _buffers(m, 3)
     dual_min = np.inf
     i = 0
     consec = 0
     converged = False
     while i < max_hard:
         i += 1
-        gains, c_s, c_r = ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r)
-        scores, powers = ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha)
-        counts = np.zeros(m)
-        src_used = 0.0
-        rly_used = 0.0
-        best_sum = 0.0
-        for k in range(m):
-            sel = np.argmax(scores[k])
-            counts[sel] += 1.0
-            src_used += c_s[k, sel] * powers[k, sel]
-            rly_used += c_r[k, sel] * powers[k, sel]
-            best_sum += scores[k, sel]
-        dual = best_sum + max(mu_s, MU_FLOOR) * p_src + max(mu_r, MU_FLOOR) * p_rly + alpha.sum()
-        if dual < dual_min:
-            dual_min = dual
-        trace[i - 1, 0] = mu_s
-        trace[i - 1, 1] = np.sqrt(np.sum(alpha * alpha))
-        trace[i - 1, 2] = src_used + rly_used
-        trace[i - 1, 3] = dual
+        gains, c_s, c_r = ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r, out=tables)
+        scores, powers = ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha, out=out)
+        sel = scores.argmax(axis=1)
+        p_sel = powers[rows, sel]
+        src_used = c_s[rows, sel] @ p_sel
+        rly_used = c_r[rows, sel] @ p_sel
+        dual = (scores[rows, sel].sum() + max(mu_s, MU_FLOOR) * p_src
+                + max(mu_r, MU_FLOOR) * p_rly + alpha.sum())
+        dual_min = min(dual_min, dual)
+        if trace is not None:
+            trace[i - 1] = (mu_s, np.sqrt(alpha @ alpha), src_used + rly_used, dual)
 
         step = step_scale / np.sqrt(i)
         new_mu_s = max(mu_s - step * (p_src - src_used), 0.0)
         new_mu_r = max(mu_r - step * (p_rly - rly_used), 0.0)
-        d_alpha_sq = 0.0
-        alpha_sq = 0.0
-        for j in range(m):
-            d = step * (1.0 - counts[j])
-            alpha[j] -= d
-            d_alpha_sq += d * d
-            alpha_sq += alpha[j] * alpha[j]
-        ok = (abs(new_mu_s - mu_s) / max(abs(new_mu_s), MU_FLOOR) < eps
-              and abs(new_mu_r - mu_r) / max(abs(new_mu_r), MU_FLOOR) < eps
-              and np.sqrt(d_alpha_sq) / max(np.sqrt(alpha_sq), MU_FLOOR) < eps)
+        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
+        ok = (_relative_step(new_mu_s, mu_s) < eps
+              and _relative_step(new_mu_r, mu_r) < eps and al_rel < eps)
         mu_s = new_mu_s
         mu_r = new_mu_r
-        if ok:
-            consec += 1
-        else:
-            consec = 0
+        consec = consec + 1 if ok else 0
         if consec >= 3 and i >= min_iter:
             converged = True
             break
@@ -270,118 +261,107 @@ def ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
 
 # -- extra second-slot direct transmission ----------------------------------
 
-@njit(cache=True)
 def direct_slot_terms(w, a_sd, mu):
     """Per-subcarrier direct power and Lagrangian contribution at price mu."""
     mu_eff = max(mu, MU_FLOOR)
-    inv = _inv_gain(a_sd)
-    p = np.maximum(w / (2.0 * mu_eff) - inv, 0.0)
+    p = np.maximum(w / (2.0 * mu_eff) - _inv_gain(a_sd), 0.0)
     g = 0.5 * w * np.log1p(a_sd * p) - mu_eff * p
     return p, g
 
 
-@njit(cache=True)
-def extra_scores(w, a_sd, gains_relay, relay_ok, mu, alpha):
+def _pick_mode(y_r, y_d, relay_ok, use_relay, alpha):
+    """use_relay = relay_ok & (y_r > y_d); y_d becomes the score matrix."""
+    np.greater(y_r, y_d, out=use_relay)
+    use_relay &= relay_ok
+    np.copyto(y_d, y_r, where=use_relay)
+    y_d -= alpha
+    return y_d
+
+
+def extra_scores(w, a_sd, gains_relay, relay_ok, mu, alpha, inv=None, out=None):
     """Scores for the joint pairing / relay-use selection under a total budget.
 
     relay_ok[k, m] marks pairs where relay use is admissible (a_sr > a_sd).
     Returns (scores, use_relay, relay_power_matrix, direct_power_vector).
+    ``inv`` is ``_inv_gain(gains_relay)`` if the caller keeps it; ``out`` is
+    three M x M float buffers and one M x M bool buffer.
     """
     m = w.shape[0]
-    mu_eff = max(mu, MU_FLOOR)
-    wcol = w.reshape(-1, 1)
-    inv = _inv_gain(gains_relay)
-    p1 = np.maximum(wcol / (2.0 * mu_eff) - inv, 0.0)
-    y_r = 0.5 * wcol * np.log1p(gains_relay * p1) - mu_eff * p1
+    y_r, p1, y_d, use_relay = out if out is not None else _mode_buffers(m, 3)
+    if inv is None:
+        inv = _inv_gain(gains_relay)
+    _relay_terms(w.reshape(-1, 1), gains_relay, inv, max(mu, MU_FLOOR),
+                 p1, y_r, y_d)
     p2, g2 = direct_slot_terms(w, a_sd, mu)
-    y_d = g2.reshape(-1, 1) + g2.reshape(1, -1)
-    use_relay = relay_ok & (y_r > y_d)
-    scores = np.where(use_relay, y_r, y_d) - alpha.reshape(1, -1)
+    np.add(g2.reshape(-1, 1), g2.reshape(1, -1), out=y_d)
+    scores = _pick_mode(y_r, y_d, relay_ok, use_relay, alpha)
     return scores, use_relay, p1, p2
 
 
-@njit(cache=True)
 def extra_phase1(w, a_sd, gains_relay, relay_ok, budget, mu, alpha,
-                 step_scale, eps, max_hard, min_iter, trace):
+                 step_scale, eps, max_hard, min_iter, trace=None):
     m = w.shape[0]
+    rows = np.arange(m)
+    inv = _inv_gain(gains_relay)  # gains_relay stays fixed during the phase
+    out = _mode_buffers(m, 3)
     dual_min = np.inf
     i = 0
     consec = 0
     converged = False
     while i < max_hard:
         i += 1
-        mu_eff = max(mu, MU_FLOOR)
-        scores, use_relay, p1, p2 = extra_scores(w, a_sd, gains_relay, relay_ok, mu, alpha)
-        counts = np.zeros(m)
-        power_sum = 0.0
-        best_sum = 0.0
-        for k in range(m):
-            sel = np.argmax(scores[k])
-            counts[sel] += 1.0
-            if use_relay[k, sel]:
-                power_sum += p1[k, sel]
-            else:
-                power_sum += p2[k] + p2[sel]
-            best_sum += scores[k, sel]
-        dual = best_sum + mu_eff * budget + alpha.sum()
-        if dual < dual_min:
-            dual_min = dual
-        trace[i - 1, 0] = mu
-        trace[i - 1, 1] = np.sqrt(np.sum(alpha * alpha))
-        trace[i - 1, 2] = power_sum
-        trace[i - 1, 3] = dual
+        scores, use_relay, p1, p2 = extra_scores(w, a_sd, gains_relay, relay_ok,
+                                                 mu, alpha, inv=inv, out=out)
+        sel = scores.argmax(axis=1)
+        relay = use_relay[rows, sel]
+        power_sum = p1[rows, sel][relay].sum() + (p2 + p2[sel])[~relay].sum()
+        dual = scores[rows, sel].sum() + max(mu, MU_FLOOR) * budget + alpha.sum()
+        dual_min = min(dual_min, dual)
+        if trace is not None:
+            trace[i - 1] = (mu, np.sqrt(alpha @ alpha), power_sum, dual)
 
         step = step_scale / np.sqrt(i)
         new_mu = max(mu - step * (budget - power_sum), 0.0)
-        d_alpha_sq = 0.0
-        alpha_sq = 0.0
-        for j in range(m):
-            d = step * (1.0 - counts[j])
-            alpha[j] -= d
-            d_alpha_sq += d * d
-            alpha_sq += alpha[j] * alpha[j]
-        mu_ok = abs(new_mu - mu) / max(abs(new_mu), MU_FLOOR) < eps
-        al_ok = np.sqrt(d_alpha_sq) / max(np.sqrt(alpha_sq), MU_FLOOR) < eps
+        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
+        ok = _relative_step(new_mu, mu) < eps and al_rel < eps
         mu = new_mu
-        if mu_ok and al_ok:
-            consec += 1
-        else:
-            consec = 0
+        consec = consec + 1 if ok else 0
         if consec >= 3 and i >= min_iter:
             converged = True
             break
     return i, mu, dual_min, converged
 
 
-@njit(cache=True)
-def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha):
+def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=None):
     """Extra-direct scores under individual budgets.
 
     The relay-side contribution prices power at c_s mu_s + c_r mu_r; the
-    direct side prices both slots at mu_s.
+    direct side prices both slots at mu_s.  ``out`` is six M x M float
+    buffers and one M x M bool buffer.
     """
     m = w.shape[0]
-    relay_need = a_sr.reshape(-1, 1) > a_sd.reshape(-1, 1) + np.zeros((m, m))
-    gains, c_s, c_r = ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r)
-    mu_s_eff = max(mu_s, MU_FLOOR)
-    mu_r_eff = max(mu_r, MU_FLOOR)
-    wcol = w.reshape(-1, 1)
-    price = c_s * mu_s_eff + c_r * mu_r_eff
-    inv = _inv_gain(gains)
-    p1 = np.maximum(wcol / (2.0 * price) - inv, 0.0)
-    y_r = 0.5 * wcol * np.log1p(gains * p1) - price * p1
+    gains, c_s, c_r, y_r, p1, y_d, use_relay = (
+        out if out is not None else _mode_buffers(m, 6))
+    ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r, out=(gains, c_s, c_r))
+    np.multiply(c_s, max(mu_s, MU_FLOOR), out=y_d)
+    np.multiply(c_r, max(mu_r, MU_FLOOR), out=p1)
+    y_d += p1
+    _relay_terms(w.reshape(-1, 1), gains, _inv_gain(gains, out=y_r), y_d,
+                 p1, y_r, y_d)
     p2, g2 = direct_slot_terms(w, a_sd, mu_s)
-    y_d = g2.reshape(-1, 1) + g2.reshape(1, -1)
-    use_relay = relay_need & (y_r > y_d)
-    scores = np.where(use_relay, y_r, y_d) - alpha.reshape(1, -1)
+    np.add(g2.reshape(-1, 1), g2.reshape(1, -1), out=y_d)
+    scores = _pick_mode(y_r, y_d, (a_sr > a_sd).reshape(-1, 1), use_relay, alpha)
     return scores, use_relay, p1, c_s, c_r, p2
 
 
-@njit(cache=True)
 def extra_ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
                      step_scale, eps, max_hard, min_iter, fixed_pairing,
-                     use_fixed, trace):
+                     use_fixed, trace=None):
     m = w.shape[0]
+    rows = np.arange(m)
+    out = _mode_buffers(m, 6)
+    if use_fixed:
+        sel = np.asarray(fixed_pairing)
     dual_min = np.inf
     i = 0
     consec = 0
@@ -389,52 +369,29 @@ def extra_ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
     while i < max_hard:
         i += 1
         scores, use_relay, p1, c_s, c_r, p2 = extra_ind_scores(
-            w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha)
-        counts = np.zeros(m)
-        src_used = 0.0
-        rly_used = 0.0
-        best_sum = 0.0
-        for k in range(m):
-            if use_fixed:
-                sel = fixed_pairing[k]
-            else:
-                sel = np.argmax(scores[k])
-            counts[sel] += 1.0
-            if use_relay[k, sel]:
-                src_used += c_s[k, sel] * p1[k, sel]
-                rly_used += c_r[k, sel] * p1[k, sel]
-            else:
-                src_used += p2[k] + p2[sel]
-            best_sum += scores[k, sel]
-        dual = best_sum + max(mu_s, MU_FLOOR) * p_src + max(mu_r, MU_FLOOR) * p_rly + alpha.sum()
-        if dual < dual_min:
-            dual_min = dual
-        trace[i - 1, 0] = mu_s
-        trace[i - 1, 1] = np.sqrt(np.sum(alpha * alpha))
-        trace[i - 1, 2] = src_used + rly_used
-        trace[i - 1, 3] = dual
+            w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=out)
+        if not use_fixed:
+            sel = scores.argmax(axis=1)
+        relay = use_relay[rows, sel]
+        p_rel = p1[rows, sel][relay]
+        src_used = c_s[rows, sel][relay] @ p_rel + (p2 + p2[sel])[~relay].sum()
+        rly_used = c_r[rows, sel][relay] @ p_rel
+        dual = (scores[rows, sel].sum() + max(mu_s, MU_FLOOR) * p_src
+                + max(mu_r, MU_FLOOR) * p_rly + alpha.sum())
+        dual_min = min(dual_min, dual)
+        if trace is not None:
+            trace[i - 1] = (mu_s, np.sqrt(alpha @ alpha), src_used + rly_used, dual)
 
         step = step_scale / np.sqrt(i)
         new_mu_s = max(mu_s - step * (p_src - src_used), 0.0)
         new_mu_r = max(mu_r - step * (p_rly - rly_used), 0.0)
-        d_alpha_sq = 0.0
-        alpha_sq = 0.0
-        if not use_fixed:
-            for j in range(m):
-                d = step * (1.0 - counts[j])
-                alpha[j] -= d
-                d_alpha_sq += d * d
-                alpha_sq += alpha[j] * alpha[j]
-        ok = (abs(new_mu_s - mu_s) / max(abs(new_mu_s), MU_FLOOR) < eps
-              and abs(new_mu_r - mu_r) / max(abs(new_mu_r), MU_FLOOR) < eps
-              and (use_fixed
-                   or np.sqrt(d_alpha_sq) / max(np.sqrt(alpha_sq), MU_FLOOR) < eps))
+        al_rel = 0.0 if use_fixed else _alpha_step(
+            alpha, np.bincount(sel, minlength=m), step)
+        ok = (_relative_step(new_mu_s, mu_s) < eps
+              and _relative_step(new_mu_r, mu_r) < eps and al_rel < eps)
         mu_s = new_mu_s
         mu_r = new_mu_r
-        if ok:
-            consec += 1
-        else:
-            consec = 0
+        consec = consec + 1 if ok else 0
         if consec >= 3 and i >= min_iter:
             converged = True
             break
@@ -443,69 +400,42 @@ def extra_ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
 
 # -- exact source-pinned solve for the two-budget inner problem -------------
 
-@njit(cache=True)
 def nu_solve(gains, weights, c_s, c_r, ratio, p_src):
     """Exact water level for channels priced by c_s + c_r * ratio (per mu_s),
     pinned so the source consumption equals p_src.
 
     Power on channel i is [w_i * nu / (c_s_i + c_r_i * ratio) - 1/a_i]^+
-    with nu = 1/(2 mu_s).  Source use is piecewise linear and strictly
-    increasing in nu, so the pin is solved by an active-set walk.
-    Returns (nu, powers, relay_used).
+    with nu = 1/(2 mu_s).  Source use is piecewise linear and increasing in
+    nu, so the pin is found by walking the channels in order of their
+    switch-on levels (see ``_level``).  Returns (nu, powers, relay_used).
     """
-    n = gains.shape[0]
-    powers = np.zeros(n)
-    slope = np.zeros(n)      # d p_i / d nu
-    thresh = np.full(n, np.inf)
-    for i in range(n):
-        if gains[i] > 0.0 and weights[i] > 0.0:
-            pw = weights[i] / (c_s[i] + c_r[i] * ratio)
-            slope[i] = pw
-            thresh[i] = 1.0 / (pw * gains[i])
-    order = np.argsort(thresh)
-    if p_src <= 0.0 or not np.isfinite(thresh[order[0]]):
+    powers = np.zeros(gains.shape[0])
+    idx = ((gains > 0.0) & (weights > 0.0)).nonzero()[0]
+    if p_src <= 0.0 or idx.size == 0:
         return 0.0, powers, 0.0
-
-    src_slope = 0.0
-    src_icpt = 0.0
-    nu = thresh[order[0]]
-    for j in range(n):
-        i = order[j]
-        if not np.isfinite(thresh[i]):
-            break
-        src_slope += c_s[i] * slope[i]
-        src_icpt += c_s[i] / gains[i]
-        cand = (p_src + src_icpt) / src_slope
-        if j + 1 < n and np.isfinite(thresh[order[j + 1]]) and cand > thresh[order[j + 1]]:
-            continue
-        nu = cand
-        break
-
-    relay_used = 0.0
-    for i in range(n):
-        if np.isfinite(thresh[i]) and nu > thresh[i]:
-            p = slope[i] * nu - 1.0 / gains[i]
-            powers[i] = p
-            relay_used += c_r[i] * p
-    return nu, powers, relay_used
+    g = gains[idx]
+    cs = c_s[idx]
+    cr = c_r[idx]
+    slope = weights[idx] / (cs + cr * ratio)  # d p_i / d nu
+    thresh = 1.0 / (slope * g)
+    nu = _level(thresh, cs * slope, cs / g, p_src)
+    on = thresh < nu
+    p = slope[on] * nu - 1.0 / g[on]
+    powers[idx[on]] = p
+    return nu, powers, cr[on] @ p
 
 
 # -- brute-force pairing search (total power) -------------------------------
 
-@njit(cache=True)
 def exhaustive_total_kernel(gains, w, budget, perms):
     """Max water-filled rate over an explicit array of permutations."""
-    n_perm, m = perms.shape
+    rows = np.arange(perms.shape[1])
     best_rate = -1.0
     best_idx = 0
-    sel_gains = np.empty(m)
-    for idx in range(n_perm):
-        for k in range(m):
-            sel_gains[k] = gains[k, perms[idx, k]]
+    for idx, perm in enumerate(perms):
+        sel_gains = gains[rows, perm]
         powers, _ = waterfill_kernel(sel_gains, w, budget)
-        rate = 0.0
-        for k in range(m):
-            rate += 0.5 * w[k] * np.log1p(sel_gains[k] * powers[k])
+        rate = 0.5 * (w @ np.log1p(sel_gains * powers))
         if rate > best_rate:
             best_rate = rate
             best_idx = idx

@@ -113,7 +113,7 @@ def solve_extra_total(real: ChannelRealization, budget: float,
     gains_relay, c_s, c_r = pair_tables(real, relay_ok)
     gains_relay = np.ascontiguousarray(gains_relay)
 
-    trace = np.zeros((cfg.max_iter_hard, 4))
+    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
     trigger, mu, dual_min, converged = extra_phase1(
         real.w, real.a_sd, gains_relay, relay_ok, float(budget), mu, alpha,
         cfg.step_scale, cfg.eps_converge, cfg.max_iter_hard, cfg.min_iter, trace)
@@ -148,7 +148,8 @@ def solve_extra_total(real: ChannelRealization, budget: float,
         dual_g = float(scores[rows, sel].sum()
                        + max(mu, MU_FLOOR) * budget + alpha.sum())
         dual_min = min(dual_min, dual_g)
-        trace[it - 1] = (mu, float(np.linalg.norm(alpha)), power_sum, dual_g)
+        if collect_trace:
+            trace[it - 1] = (mu, float(np.linalg.norm(alpha)), power_sum, dual_g)
         step = cfg.step_scale / np.sqrt(it)
         mu = max(mu - step * (budget - power_sum), 0.0)
         counts = np.bincount(sel, minlength=real.m)
@@ -264,7 +265,7 @@ def solve_extra_individual(real: ChannelRealization, budgets: IndividualBudgets,
     use_fixed = fixed_pairing is not None
     fixed = (np.asarray(fixed_pairing, dtype=np.int64) if use_fixed
              else np.zeros(real.m, dtype=np.int64))
-    trace = np.zeros((cfg.max_iter_hard, 4))
+    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
     trigger, mu_s, mu_r, dual_min, converged = extra_ind_phase1(
         real.w, real.a_sd, real.a_sr, real.a_rd,
         budgets.p_source, budgets.p_relay, mu_s, mu_r, alpha,
@@ -334,8 +335,9 @@ def solve_extra_individual(real: ChannelRealization, budgets: IndividualBudgets,
                        + max(mu_s, MU_FLOOR) * budgets.p_source
                        + max(mu_r, MU_FLOOR) * budgets.p_relay + alpha.sum())
         dual_min = min(dual_min, dual_g)
-        trace[it - 1] = (mu_s, float(np.linalg.norm(alpha)),
-                         src_used + rly_used, dual_g)
+        if collect_trace:
+            trace[it - 1] = (mu_s, float(np.linalg.norm(alpha)),
+                             src_used + rly_used, dual_g)
         step = cfg.step_scale / np.sqrt(it)
         mu_s = max(mu_s - step * (budgets.p_source - src_used), 0.0)
         mu_r = max(mu_r - step * (budgets.p_relay - rly_used), 0.0)

@@ -50,7 +50,7 @@ def solve_individual(real: ChannelRealization, budgets: IndividualBudgets,
     mu_r = float(rng.uniform(cfg.dual_init_low, cfg.dual_init_high))
     alpha = rng.uniform(cfg.dual_init_low, cfg.dual_init_high, real.m)
 
-    trace = np.zeros((cfg.max_iter_hard, 4))
+    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
     trigger, mu_s, mu_r, dual_min, converged = ind_phase1(
         real.w, real.a_sd, real.a_sr, real.a_rd,
         budgets.p_source, budgets.p_relay, mu_s, mu_r, alpha,
@@ -97,8 +97,9 @@ def solve_individual(real: ChannelRealization, budgets: IndividualBudgets,
                        + max(mu_s, MU_FLOOR) * budgets.p_source
                        + max(mu_r, MU_FLOOR) * budgets.p_relay + alpha.sum())
         dual_min = min(dual_min, dual_g)
-        trace[it - 1] = (mu_s, float(np.linalg.norm(alpha)),
-                         src_used + rly_used, dual_g)
+        if collect_trace:
+            trace[it - 1] = (mu_s, float(np.linalg.norm(alpha)),
+                             src_used + rly_used, dual_g)
         step = cfg.step_scale / np.sqrt(it)
         mu_s = max(mu_s - step * (budgets.p_source - src_used), 0.0)
         mu_r = max(mu_r - step * (budgets.p_relay - rly_used), 0.0)

@@ -52,7 +52,7 @@ def solve_total(real: ChannelRealization, budget: float,
     gains = np.ascontiguousarray(gains)
     w = real.w
 
-    trace = np.zeros((cfg.max_iter_hard, 4))
+    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
     trigger, mu, dual_min, converged = total_phase1(
         w, gains, float(budget), mu, alpha, cfg.step_scale,
         cfg.eps_converge, cfg.max_iter_hard, cfg.min_iter, trace)
@@ -81,7 +81,8 @@ def solve_total(real: ChannelRealization, budget: float,
         power_sum = float(powers[rows, sel].sum())
         dual_g = float(scores[rows, sel].sum() + max(mu, MU_FLOOR) * budget + alpha.sum())
         dual_min = min(dual_min, dual_g)
-        trace[it - 1] = (mu, float(np.linalg.norm(alpha)), power_sum, dual_g)
+        if collect_trace:
+            trace[it - 1] = (mu, float(np.linalg.norm(alpha)), power_sum, dual_g)
         step = cfg.step_scale / np.sqrt(it)
         mu = max(mu - step * (budget - power_sum), 0.0)
         counts = np.bincount(sel, minlength=real.m)

@@ -2,8 +2,10 @@
 
 Maximizes sum_i (w_i/2) log(1 + a_i p_i) subject to sum_i p_i <= P, p >= 0.
 The optimum is p_i = [w_i/(2 mu) - 1/a_i]^+ with mu chosen to meet the
-budget; the kernel finds mu by bisection and applies one linear correction
-so the budget is met to near machine precision.
+budget.  Channel i is active once the water level nu = 1/(2 mu) exceeds
+1/(w_i a_i), so the kernel sorts the channels by that threshold, takes
+cumulative sums of w and 1/a, and reads the exact level off the largest
+active set that meets the budget (sorted-cumsum water-filling).
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ def waterfill(gains, weights, budget: float) -> WaterfillResult:
     weights = np.ascontiguousarray(weights, dtype=float)
     if gains.shape != weights.shape or gains.ndim != 1:
         raise ValidationError("gains and weights must be 1-d arrays of equal length")
-    if np.any(gains < 0) or np.any(weights < 0):
+    if (gains < 0).any() or (weights < 0).any():
         raise ValidationError("gains and weights must be nonnegative")
     if budget < 0:
         raise InfeasibleBudgetError("power budget must be >= 0")
-    if budget > 0 and not np.any(gains * weights > 0):
+    if budget > 0 and not (gains * weights > 0).any():
         raise InfeasibleBudgetError("positive budget but every channel has zero weighted gain")
     powers, mu = waterfill_kernel(gains, weights, float(budget))
     return WaterfillResult(powers=powers, water_price=float(mu))
