@@ -15,6 +15,7 @@ import enum
 import numpy as np
 
 from .channel import pair_tables, relay_mask_total
+from .pairing import scp_pairing
 from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
 from .solver_extra import _assemble_channels, _fill_alloc, solve_extra_individual
@@ -28,16 +29,6 @@ class BaselineKind(enum.Enum):
     SCP_WEIGHTED = "scp"
     SCP_UNWEIGHTED = "scp-unweighted"
     FIXED_IDENTITY = "fixed"
-
-
-def scp_pairing(real: ChannelRealization, weighted: bool = True) -> np.ndarray:
-    key_first = real.w * real.a_sr if weighted else real.a_sr
-    # argsort of the negated key is descending with smallest-index ties
-    first = np.argsort(-key_first, kind="stable")
-    second = np.argsort(-real.a_rd, kind="stable")
-    perm = np.empty(real.m, dtype=np.int64)
-    perm[first] = second
-    return perm
 
 
 def baseline_pairing(real: ChannelRealization, kind: BaselineKind) -> np.ndarray:

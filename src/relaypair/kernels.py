@@ -1,8 +1,9 @@
-"""Hot numeric kernels for the dual subgradient loops and water-filling.
+"""Hot numeric kernels: pair scores for the dual iteration, and water-filling.
 
-Everything here is plain vectorized numpy.  The per-iteration score matrices
-are O(M^2) and dominate the solver runtime, so each pre-trigger subgradient
-phase allocates its M x M buffers once and the score kernels write into them
+Everything here is plain vectorized numpy.  The score kernels build the
+O(M^2) pair-score matrices that the subgradient driver (``relaypair.dual``)
+evaluates every iteration and that dominate the solver runtime, so each
+problem allocates its M x M buffers once and the kernels write into them
 (the ``out`` keyword) instead of allocating fresh matrices every iteration.
 Water-filling and the source-pinned ``nu_solve`` are exact: channels are
 sorted by the water level at which they switch on, and cumulative sums give
@@ -68,18 +69,6 @@ def _relay_terms(wcol, gains, inv, price, p, y, work):
     y -= work
 
 
-def _relative_step(new, old):
-    return abs(new - old) / max(abs(new), MU_FLOOR)
-
-
-def _alpha_step(alpha, counts, step):
-    """Subgradient step on the pairing prices (in place); returns the step
-    length relative to the new prices."""
-    d = step * (1.0 - counts)
-    alpha -= d
-    return np.sqrt(d @ d) / max(np.sqrt(alpha @ alpha), MU_FLOOR)
-
-
 # -- water-filling ----------------------------------------------------------
 
 def waterfill_kernel(gains, weights, budget):
@@ -137,43 +126,6 @@ def total_scores(w, gains, mu, alpha, inv=None, out=None):
     return scores, powers
 
 
-def total_phase1(w, gains, budget, mu, alpha, step_scale, eps, max_hard,
-                 min_iter, trace=None):
-    """Subgradient iteration until the duals settle within eps.
-
-    Mutates alpha in place, fills trace rows (mu, |alpha|, power_sum, dual)
-    unless trace is None, and returns (iterations, mu, dual_min, converged).
-    """
-    m = w.shape[0]
-    rows = np.arange(m)
-    inv = _inv_gain(gains)  # gains stay fixed during the phase
-    out = _buffers(m, 3)
-    dual_min = np.inf
-    i = 0
-    consec = 0
-    converged = False
-    while i < max_hard:
-        i += 1
-        scores, powers = total_scores(w, gains, mu, alpha, inv=inv, out=out)
-        sel = scores.argmax(axis=1)
-        power_sum = powers[rows, sel].sum()
-        dual = scores[rows, sel].sum() + max(mu, MU_FLOOR) * budget + alpha.sum()
-        dual_min = min(dual_min, dual)
-        if trace is not None:
-            trace[i - 1] = (mu, np.sqrt(alpha @ alpha), power_sum, dual)
-
-        step = step_scale / np.sqrt(i)
-        new_mu = max(mu - step * (budget - power_sum), 0.0)
-        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
-        ok = _relative_step(new_mu, mu) < eps and al_rel < eps
-        mu = new_mu
-        consec = consec + 1 if ok else 0
-        if consec >= 3 and i >= min_iter:
-            converged = True
-            break
-    return i, mu, dual_min, converged
-
-
 # -- individual power constraints -------------------------------------------
 
 def ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r, out=None):
@@ -220,45 +172,6 @@ def ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha, out=None):
     return scores, powers
 
 
-def ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
-               step_scale, eps, max_hard, min_iter, trace=None):
-    m = w.shape[0]
-    rows = np.arange(m)
-    tables = _buffers(m, 3)
-    out = _buffers(m, 3)
-    dual_min = np.inf
-    i = 0
-    consec = 0
-    converged = False
-    while i < max_hard:
-        i += 1
-        gains, c_s, c_r = ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r, out=tables)
-        scores, powers = ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha, out=out)
-        sel = scores.argmax(axis=1)
-        p_sel = powers[rows, sel]
-        src_used = c_s[rows, sel] @ p_sel
-        rly_used = c_r[rows, sel] @ p_sel
-        dual = (scores[rows, sel].sum() + max(mu_s, MU_FLOOR) * p_src
-                + max(mu_r, MU_FLOOR) * p_rly + alpha.sum())
-        dual_min = min(dual_min, dual)
-        if trace is not None:
-            trace[i - 1] = (mu_s, np.sqrt(alpha @ alpha), src_used + rly_used, dual)
-
-        step = step_scale / np.sqrt(i)
-        new_mu_s = max(mu_s - step * (p_src - src_used), 0.0)
-        new_mu_r = max(mu_r - step * (p_rly - rly_used), 0.0)
-        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
-        ok = (_relative_step(new_mu_s, mu_s) < eps
-              and _relative_step(new_mu_r, mu_r) < eps and al_rel < eps)
-        mu_s = new_mu_s
-        mu_r = new_mu_r
-        consec = consec + 1 if ok else 0
-        if consec >= 3 and i >= min_iter:
-            converged = True
-            break
-    return i, mu_s, mu_r, dual_min, converged
-
-
 # -- extra second-slot direct transmission ----------------------------------
 
 def direct_slot_terms(w, a_sd, mu):
@@ -298,40 +211,6 @@ def extra_scores(w, a_sd, gains_relay, relay_ok, mu, alpha, inv=None, out=None):
     return scores, use_relay, p1, p2
 
 
-def extra_phase1(w, a_sd, gains_relay, relay_ok, budget, mu, alpha,
-                 step_scale, eps, max_hard, min_iter, trace=None):
-    m = w.shape[0]
-    rows = np.arange(m)
-    inv = _inv_gain(gains_relay)  # gains_relay stays fixed during the phase
-    out = _mode_buffers(m, 3)
-    dual_min = np.inf
-    i = 0
-    consec = 0
-    converged = False
-    while i < max_hard:
-        i += 1
-        scores, use_relay, p1, p2 = extra_scores(w, a_sd, gains_relay, relay_ok,
-                                                 mu, alpha, inv=inv, out=out)
-        sel = scores.argmax(axis=1)
-        relay = use_relay[rows, sel]
-        power_sum = p1[rows, sel][relay].sum() + (p2 + p2[sel])[~relay].sum()
-        dual = scores[rows, sel].sum() + max(mu, MU_FLOOR) * budget + alpha.sum()
-        dual_min = min(dual_min, dual)
-        if trace is not None:
-            trace[i - 1] = (mu, np.sqrt(alpha @ alpha), power_sum, dual)
-
-        step = step_scale / np.sqrt(i)
-        new_mu = max(mu - step * (budget - power_sum), 0.0)
-        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
-        ok = _relative_step(new_mu, mu) < eps and al_rel < eps
-        mu = new_mu
-        consec = consec + 1 if ok else 0
-        if consec >= 3 and i >= min_iter:
-            converged = True
-            break
-    return i, mu, dual_min, converged
-
-
 def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=None):
     """Extra-direct scores under individual budgets.
 
@@ -352,50 +231,6 @@ def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=None):
     np.add(g2.reshape(-1, 1), g2.reshape(1, -1), out=y_d)
     scores = _pick_mode(y_r, y_d, (a_sr > a_sd).reshape(-1, 1), use_relay, alpha)
     return scores, use_relay, p1, c_s, c_r, p2
-
-
-def extra_ind_phase1(w, a_sd, a_sr, a_rd, p_src, p_rly, mu_s, mu_r, alpha,
-                     step_scale, eps, max_hard, min_iter, fixed_pairing,
-                     use_fixed, trace=None):
-    m = w.shape[0]
-    rows = np.arange(m)
-    out = _mode_buffers(m, 6)
-    if use_fixed:
-        sel = np.asarray(fixed_pairing)
-    dual_min = np.inf
-    i = 0
-    consec = 0
-    converged = False
-    while i < max_hard:
-        i += 1
-        scores, use_relay, p1, c_s, c_r, p2 = extra_ind_scores(
-            w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=out)
-        if not use_fixed:
-            sel = scores.argmax(axis=1)
-        relay = use_relay[rows, sel]
-        p_rel = p1[rows, sel][relay]
-        src_used = c_s[rows, sel][relay] @ p_rel + (p2 + p2[sel])[~relay].sum()
-        rly_used = c_r[rows, sel][relay] @ p_rel
-        dual = (scores[rows, sel].sum() + max(mu_s, MU_FLOOR) * p_src
-                + max(mu_r, MU_FLOOR) * p_rly + alpha.sum())
-        dual_min = min(dual_min, dual)
-        if trace is not None:
-            trace[i - 1] = (mu_s, np.sqrt(alpha @ alpha), src_used + rly_used, dual)
-
-        step = step_scale / np.sqrt(i)
-        new_mu_s = max(mu_s - step * (p_src - src_used), 0.0)
-        new_mu_r = max(mu_r - step * (p_rly - rly_used), 0.0)
-        al_rel = 0.0 if use_fixed else _alpha_step(
-            alpha, np.bincount(sel, minlength=m), step)
-        ok = (_relative_step(new_mu_s, mu_s) < eps
-              and _relative_step(new_mu_r, mu_r) < eps and al_rel < eps)
-        mu_s = new_mu_s
-        mu_r = new_mu_r
-        consec = consec + 1 if ok else 0
-        if consec >= 3 and i >= min_iter:
-            converged = True
-            break
-    return i, mu_s, mu_r, dual_min, converged
 
 
 # -- exact source-pinned solve for the two-budget inner problem -------------

@@ -1,20 +1,17 @@
-"""Pairing selection and repair.
+"""Pairing repair, and the sorted channel pairing.
 
 The dual decomposition lets every first-slot subcarrier pick its best
 second-slot partner independently, which in general breaks the one-to-one
 matching.  ``amend_pairing`` repairs such an assignment into a permutation:
 for each over-subscribed column keep the highest-scoring row and push the
-rest to the free column whose dual price is closest.
+rest to the free column whose dual price is closest.  ``scp_pairing`` is
+the rank-matched pairing that the solvers try as a candidate and the
+baselines evaluate.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def greedy_assignment(scores: np.ndarray) -> np.ndarray:
-    """Row-wise argmax column choice; ties resolve to the smallest index."""
-    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def amend_pairing(scores: np.ndarray, assignment: np.ndarray,
@@ -38,3 +35,15 @@ def amend_pairing(scores: np.ndarray, assignment: np.ndarray,
             sel[r] = target
         counts[j] = 1
     return sel
+
+
+def scp_pairing(real, weighted: bool = True) -> np.ndarray:
+    """Pair equal ranks of w_k * a_sr_k (a_sr_k if not ``weighted``) and
+    a_rd_m, both descending."""
+    key_first = real.w * real.a_sr if weighted else real.a_sr
+    # argsort of the negated key is descending with smallest-index ties
+    first = np.argsort(-key_first, kind="stable")
+    second = np.argsort(-real.a_rd, kind="stable")
+    perm = np.empty(real.m, dtype=np.int64)
+    perm[first] = second
+    return perm

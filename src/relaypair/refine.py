@@ -25,6 +25,30 @@ from .types import Allocation, ChannelRealization, PairMode
 _MAX_BISECT = 80
 
 
+def crossing(f, lo, hi, grow=0):
+    """Zero crossing of a decreasing function f on [lo, hi] by _MAX_BISECT
+    halvings, each keeping the half where f(lo) > 0 >= f(hi).
+
+    With ``grow`` > 0 the bracket is found first: while f(hi) > 0, lo moves
+    up to hi and hi doubles, at most ``grow`` times; None if f stays
+    positive.
+    """
+    for _ in range(grow):
+        if f(hi) <= 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        if grow:
+            return None
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _pair_arrays(real: ChannelRealization, perm: np.ndarray, relay_rows: np.ndarray):
     """Per-pair (gain, c_s, c_r) for a given boolean relay-mode row mask."""
     a_sd = real.a_sd
@@ -83,18 +107,7 @@ def _intermediate_solve(real, perm, relay_rows, inter, ratio, p_src, p_rly):
         ps, pr, _ = residuals(nu)
         return 1.0 + a_sd_i * max(ps, 0.0) + a_rd_i * max(pr, 0.0) - w_i * a_sd_i * nu
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if psi(hi) < 0.0:
-            break
-        hi *= 2.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
+    nu = crossing(psi, 0.0, 1.0, grow=200)
     ps_i, pr_i, powers = residuals(nu)
     alloc = _build_alloc(perm, others, powers, c_s, c_r)
     alloc.modes[inter] = int(PairMode.INTERMEDIATE)
@@ -145,15 +158,7 @@ def zero_crossing_refine(real: ChannelRealization, pairing: np.ndarray,
         ex, gains, c_s, c_r = _pattern(real, perm, rows)
         left, _, _ = ex(b, p_src, p_rly)
         if left <= 0.0:
-            lo, hi = prev, b
-            for _ in range(_MAX_BISECT):
-                mid = 0.5 * (lo + hi)
-                e, _, _ = ex(mid, p_src, p_rly)
-                if e > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            ratio = 0.5 * (lo + hi)
+            ratio = crossing(lambda r: ex(r, p_src, p_rly)[0], prev, b)
             _, nu, powers = ex(ratio, p_src, p_rly)
             alloc = _build_alloc(perm, rows, powers, c_s, c_r)
             mu_s = 1.0 / (2.0 * nu) if nu > 0 else np.inf
@@ -172,17 +177,9 @@ def zero_crossing_refine(real: ChannelRealization, pairing: np.ndarray,
     rows = ~np.isfinite(boundary) | (boundary > prev)
     rows &= boundary > 0
     ex, gains, c_s, c_r = _pattern(real, perm, rows)
-    lo = prev
-    hi = max(2.0 * prev, 1.0)
-    bracketed = False
-    for _ in range(64):
-        e, _, _ = ex(hi, p_src, p_rly)
-        if e <= 0.0:
-            bracketed = True
-            break
-        lo = hi
-        hi *= 2.0
-    if not bracketed:
+    ratio = crossing(lambda r: ex(r, p_src, p_rly)[0], prev, max(2.0 * prev, 1.0),
+                     grow=64)
+    if ratio is None:
         # every remaining pair is relay-only (a_sd = 0), so the source can be
         # slack: pin the relay budget instead, with the source price at zero
         g_r = np.where(c_r > 0, gains, 0.0)
@@ -191,14 +188,6 @@ def zero_crossing_refine(real: ChannelRealization, pairing: np.ndarray,
         mu_r = 1.0 / (2.0 * nu) if nu > 0 else np.inf
         return alloc, {"case": "source_slack", "ratio": np.inf, "nu": nu,
                        "mu_s": 0.0, "mu_r": mu_r}
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        e, _, _ = ex(mid, p_src, p_rly)
-        if e > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    ratio = 0.5 * (lo + hi)
     _, nu, powers = ex(ratio, p_src, p_rly)
     alloc = _build_alloc(perm, rows, powers, c_s, c_r)
     mu_s = 1.0 / (2.0 * nu) if nu > 0 else np.inf

@@ -7,7 +7,6 @@ subcarrier ``k`` (0-based internally; the instance-file interface is 1-based).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,31 +134,18 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the dual subgradient iteration (defaults follow the simulated
-    setup: step sizes 0.05/sqrt(i), duals initialized uniformly in [0, 2],
-    convergence threshold 1%, then 10% extra iterations for the repair phase)."""
+    """Iteration limits of the dual subgradient method.  Its step size,
+    stopping threshold, repair-span length and initial dual range are
+    constants of ``relaypair.dual``."""
 
-    eps_converge: float = 0.01
-    extra_iter_frac: float = 0.10
-    step_scale: float = 0.05
     max_iter_hard: int = 30000
     # the raw stopping rule can fire on a momentarily small subgradient, so
     # it must hold on consecutive iterations and only after min_iter of them
     min_iter: int = 200
-    dual_init_low: float = 0.0
-    dual_init_high: float = 2.0
 
     def __post_init__(self):
-        if self.eps_converge <= 0 or self.step_scale <= 0:
-            raise ConfigError("eps_converge and step_scale must be > 0")
         if self.max_iter_hard < 1:
             raise ConfigError("max_iter_hard must be >= 1")
-        if self.dual_init_high < self.dual_init_low:
-            raise ConfigError("bad dual init range")
-
-    def amendment_span(self, trigger_iter: int) -> int:
-        """Last iteration index of the amendment phase."""
-        return max(math.floor((1.0 + self.extra_iter_frac) * trigger_iter), trigger_iter + 1)
 
 
 @dataclass

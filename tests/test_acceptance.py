@@ -4,11 +4,11 @@ Run with ``pytest -v tests/test_acceptance.py`` to see per-criterion
 pass/fail; each test also prints its measured statistic.
 
 Criterion 9 checks that one subgradient iteration of the total-power dual
-(``relaypair.kernels.total_phase1``: an M x M score matrix and a row-wise
-argmax) costs O(M^2), by timing it at M=256 and M=512 and asking for a cost
-ratio in [3, 6].  Those sizes are where the M^2 term dominates the
-vectorized numpy kernels: below M=256 the fixed cost of the numpy calls
-made in each iteration outweighs it.
+(``relaypair.dual.iterate`` on the shared-budget problem: an M x M score
+matrix and a row-wise argmax) costs O(M^2), by timing it at M=256 and M=512
+and asking for a cost ratio in [3, 6].  Those sizes are where the M^2 term
+dominates the vectorized numpy kernels: below M=256 the fixed cost of the
+numpy calls made in each iteration outweighs it.
 """
 
 import time
@@ -21,9 +21,11 @@ from relaypair import (IndividualBudgets, RicianConfig, evaluate_baseline,
                        exhaustive_total, kkt_residual, sample_realization,
                        scp_pairing, solve_extra_total, solve_individual,
                        solve_total, validate_allocation, waterfill)
-from relaypair.experiments import trial_seed
-from relaypair.kernels import total_phase1
 from relaypair.channel import pair_tables, relay_mask_total
+from relaypair.dual import iterate
+from relaypair.experiments import trial_seed
+from relaypair.solver_total import TotalProblem
+from relaypair.types import SolverConfig
 
 BUD = IndividualBudgets(4.0, 1.0)
 POWER = 5.0
@@ -235,27 +237,26 @@ def test_criterion_8_waterfill_kernel_quality():
 
 
 def _per_iteration_cost(sizes):
-    """Best per-iteration time of ``total_phase1`` for each ``(m, iters)``.
+    """Best per-iteration time of the shared-budget subgradient iteration
+    for each ``(m, iters)``.
 
-    Every call starts from the same duals and a fresh trace, since the
-    kernel updates ``alpha`` in place.  Round 0 is an untimed warm-up; the
-    best of the 7 timed rounds is kept.  Each round times every size in
+    Every call runs exactly ``iters`` iterations (the hard cap, which is
+    also ``min_iter``) from the same duals and with a fresh trace, since
+    the driver updates ``alpha`` in place.  Round 0 is an untimed warm-up;
+    the best of the 7 timed rounds is kept.  Each round times every size in
     turn, so a change in machine load during the run hits all sizes alike
     instead of biasing their ratio.
     """
-    cases = []
-    for m, iters in sizes:
-        real = _draw("c9", m, 0)
-        gains = pair_tables(real, relay_mask_total(real))[0]
-        cases.append((real.w, np.ascontiguousarray(gains), iters))
+    cases = [(TotalProblem(_draw("c9", m, 0), POWER),
+              SolverConfig(max_iter_hard=iters, min_iter=iters), iters)
+             for m, iters in sizes]
     best = [np.inf] * len(cases)
     for rnd in range(8):
-        for i, (w, gains, iters) in enumerate(cases):
-            alpha = np.linspace(0.1, 0.9, w.shape[0])
+        for i, (problem, cfg, iters) in enumerate(cases):
+            alpha = np.linspace(0.1, 0.9, problem.real.m)
             trace = np.zeros((iters, 4))
             t0 = time.perf_counter()
-            total_phase1(w, gains, POWER, 1.0, alpha, 0.05, 0.0, iters, iters,
-                         trace)
+            iterate(problem, [1.0], alpha, cfg, trace)
             if rnd:
                 best[i] = min(best[i], (time.perf_counter() - t0) / iters)
     return best

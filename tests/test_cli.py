@@ -101,3 +101,17 @@ def test_parser_rejects_conflicting_budgets(instance_path):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["solve", "--instance", instance_path,
                                    "--constraint", "bogus", "--power", "5"])
+
+
+def test_solve_zero_weighted_gain(tmp_path, capsys):
+    path = tmp_path / "silent.csv"
+    real = random_real(4, seed=71)
+    write_instance(path, type(real)(m=4, a_sd=real.a_sd, a_sr=real.a_sr,
+                                    a_rd=real.a_rd, w=np.zeros(4)))
+    for limits in (["total", "--power", "5"], ["individual", "--ps", "4", "--pr", "1"]):
+        for extra in ([], ["--extra-direct"]):
+            rc = main(["solve", "--instance", str(path), "--constraint", *limits, *extra])
+            assert rc == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == "rate 0.000000000 nat"
+            assert out[1] == "dual 0.000000000 nat"

@@ -3,10 +3,11 @@
 The references below are the loop forms the kernels had before they were
 vectorized: water-filling by bisection plus a linear budget correction, the
 source-pinned ``nu_solve`` as an active-set walk, per-element score tables
-and ``total_phase1`` with a per-row argmax loop.  Summation order differs
-between the two forms, so results are compared within a tolerance fixed
-from float64 rounding: 1e-12 relative for water-filling powers and
-``nu_solve``, and identical iteration counts for ``total_phase1``.
+and the shared-budget phase-1 iteration with a per-row argmax loop (now run
+by ``relaypair.dual.iterate``).  Summation order differs between the two
+forms, so results are compared within a tolerance fixed from float64
+rounding: 1e-12 relative for water-filling powers and ``nu_solve``, and
+identical iteration counts for phase 1.
 """
 
 import numpy as np
@@ -15,6 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relaypair.kernels as kernels
+from relaypair.dual import iterate
+from relaypair.solver_total import TotalProblem
+from relaypair.types import ChannelRealization, SolverConfig
 
 MU_FLOOR = kernels.MU_FLOOR
 
@@ -331,22 +335,27 @@ def test_score_kernels_fill_reused_buffers():
 
 
 def test_phase1_agrees():
+    # the shared driver's phase 1 on the shared-budget problem against the
+    # loop form of the old total-power phase-1 kernel
     for m, seed in [(1, 6), (6, 6), (6, 7), (16, 8), (16, 9)]:
         w, a_sd, a_sr, a_rd = _instance(seed, m)
-        gains = kernels.ind_tables(a_sd, a_sr, a_rd, 1.0, 1.0)[0]
-        args = (w, gains, 5.0, 1.3)
-        tail = (0.05, 0.01, 400, 60)
+        problem = TotalProblem(ChannelRealization(m, a_sd, a_sr, a_rd, w), 5.0)
+        alpha_ref = np.linspace(0.1, 0.9, m)
+        r2 = _ref_total_phase1(w, problem.gains, 5.0, 1.3, alpha_ref,
+                               0.05, 0.01, 400, 60)
+        # capped at the reference's trigger, the driver runs phase 1 only
         alpha = np.linspace(0.1, 0.9, m)
         trace = np.zeros((400, 4))
-        r1 = kernels.total_phase1(*args, alpha, *tail, trace)
-        alpha_ref = np.linspace(0.1, 0.9, m)
-        r2 = _ref_total_phase1(*args, alpha_ref, *tail)
-        assert r1[0] == r2[0]
-        assert r1[1] == pytest.approx(r2[1], rel=1e-9)
-        assert r1[2] == pytest.approx(r2[2], rel=1e-9)
-        assert r1[3] == r2[3]
+        cfg = SolverConfig(max_iter_hard=r2[0], min_iter=60)
+        r1 = iterate(problem, [1.3], alpha, cfg, trace)
+        assert r1[0] == r1[1] == r2[0]
+        assert r1[2][0] == pytest.approx(r2[1], rel=1e-9)
+        assert r1[3] == pytest.approx(r2[2], rel=1e-9)
+        assert r1[4] == r2[3]
         np.testing.assert_allclose(alpha, alpha_ref, rtol=1e-9, atol=1e-12)
         assert trace[r1[0] - 1, 3] != 0.0
-        # no trace requested: same iteration, nothing recorded
-        assert kernels.total_phase1(*args, np.linspace(0.1, 0.9, m), *tail,
-                                    None)[0] == r1[0]
+        # at a cap of 400 the trigger is the same, with or without a trace
+        cfg = SolverConfig(max_iter_hard=400, min_iter=60)
+        for trace in (np.zeros((400, 4)), None):
+            assert iterate(problem, [1.3], np.linspace(0.1, 0.9, m), cfg,
+                           trace)[0] == r2[0]

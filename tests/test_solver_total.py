@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relaypair import (assert_feasible, exhaustive_total, solve_total,
-                       weighted_sum_rate)
+from relaypair import (IndividualBudgets, assert_feasible, exhaustive_total,
+                       solve_extra_individual, solve_extra_total,
+                       solve_individual, solve_total, weighted_sum_rate)
 from relaypair.kernels import total_scores
 from relaypair.types import SolverConfig
 
@@ -77,16 +78,27 @@ def test_identical_subcarriers_symmetry():
     assert rep.primal_rate == pytest.approx(4 * 0.5 * np.log(1 + 1.8), rel=1e-6)
 
 
+# the shared driver owns the trace and the iteration cap of every solver
+SOLVERS = [(solve_total, 5.0), (solve_extra_total, 5.0),
+           (solve_individual, IndividualBudgets(4.0, 1.0)),
+           (solve_extra_individual, IndividualBudgets(4.0, 1.0))]
+
+
 def test_trace_collection():
     real = random_real(4, seed=5)
-    rep = solve_total(real, 5.0, seed=5, collect_trace=True)
-    assert rep.trace is not None
-    assert rep.trace.shape == (rep.iterations, 4)
-    assert rep.trigger_iter <= rep.iterations
+    for solver, budget in SOLVERS:
+        rep = solver(real, budget, seed=5, collect_trace=True)
+        assert rep.trace is not None, solver.__name__
+        assert rep.trace.shape == (rep.iterations, 4), solver.__name__
+        assert rep.trigger_iter < rep.iterations, solver.__name__
+        assert np.all(rep.trace[:, 3] >= rep.dual_value), solver.__name__
+        assert solver(real, budget, seed=5).trace is None
 
 
 def test_respects_hard_iteration_cap():
     cfg = SolverConfig(max_iter_hard=50, min_iter=10)
     real = random_real(4, seed=6)
-    rep = solve_total(real, 5.0, cfg=cfg, seed=6)
-    assert rep.iterations <= 50
+    for solver, budget in SOLVERS:
+        rep = solver(real, budget, cfg=cfg, seed=6)
+        assert rep.iterations <= 50, solver.__name__
+        assert rep.trigger_iter <= rep.iterations, solver.__name__
