@@ -151,7 +151,7 @@ def iterate(problem: DualProblem, prices, alpha: np.ndarray,
         if trigger is not None:
             problem.evaluate(scores, sel, alpha)
 
-        step = _STEP_SCALE / np.sqrt(i)
+        step = _STEP_SCALE / math.sqrt(i)
         new = [max(p - step * (b - u), 0.0) for p, b, u in zip(prices, budgets, used)]
         al_rel = 0.0 if fixed is not None else _alpha_step(
             alpha, np.bincount(sel, minlength=m), step)

@@ -43,18 +43,18 @@ def weighted_sum_rate(real: ChannelRealization, alloc: Allocation,
     perm = check_permutation(alloc.pairing, real.m)
     if not extra_allowed and np.any(alloc.q_s > 0):
         raise ValidationError("second-slot source power present but extra transmission is disabled")
-    total = 0.0
-    for k in range(real.m):
-        m = perm[k]
-        mode = alloc.modes[k]
-        if mode == PairMode.DIRECT:
-            if alloc.p_r[k] != 0.0:
-                raise ValidationError(f"direct-link pair {k} carries relay power")
-            total += pair_rate_extra_direct(real.w[k], real.w[m], real.a_sd[k],
-                                            real.a_sd[m], alloc.p_s[k], alloc.q_s[k])
-        else:
-            if alloc.q_s[k] != 0.0:
-                raise ValidationError(f"relay pair {k} carries second-slot source power")
-            total += pair_rate_relay_raw(real.w[k], real.a_sr[k], real.a_sd[k],
-                                         real.a_rd[m], alloc.p_s[k], alloc.p_r[k])
-    return total
+    direct = alloc.modes == int(PairMode.DIRECT)
+    bad = np.flatnonzero(np.where(direct, alloc.p_r != 0.0, alloc.q_s != 0.0))
+    if bad.size:
+        k = int(bad[0])
+        if direct[k]:
+            raise ValidationError(f"direct-link pair {k} carries relay power")
+        raise ValidationError(f"relay pair {k} carries second-slot source power")
+    # same per-pair expressions as pair_rate_extra_direct / pair_rate_relay_raw
+    half_w = 0.5 * real.w
+    direct_rate = (half_w * np.log1p(real.a_sd * alloc.p_s)
+                   + half_w[perm] * np.log1p(real.a_sd[perm] * alloc.q_s))
+    relay_rate = half_w * np.minimum(
+        np.log1p(real.a_sr * alloc.p_s),
+        np.log1p(real.a_sd * alloc.p_s + real.a_rd[perm] * alloc.p_r))
+    return float(np.sum(np.where(direct, direct_rate, relay_rate)))

@@ -10,43 +10,43 @@ The solve walks the mode-boundary ratios a_rd/a_sd in ascending order.  On
 each segment the mode pattern is frozen, the source budget is pinned
 exactly (see ``kernels.nu_solve``), and the relay consumption R(r) is
 decreasing, so the ratio where R crosses the relay budget is found by
-bisection.  If the crossing happens across a boundary, the boundary pair
-operates between modes with a free power split, fixed by a scalar
-water-level equation.
+Brent's bracketed root finder.  If the crossing happens across a boundary,
+the boundary pair operates between modes with a free power split, fixed by
+a scalar water-level equation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .kernels import nu_solve
 from .types import Allocation, ChannelRealization, PairMode
 
-_MAX_BISECT = 80
+_RTOL = 4.0 * np.finfo(float).eps   # the tightest relative tolerance brentq accepts
 
 
 def crossing(f, lo, hi, grow=0):
-    """Zero crossing of a decreasing function f on [lo, hi] by _MAX_BISECT
-    halvings, each keeping the half where f(lo) > 0 >= f(hi).
+    """Zero crossing of a decreasing function f with f(lo) > 0 >= f(hi), by
+    Brent's method to full float64 precision.
 
-    With ``grow`` > 0 the bracket is found first: while f(hi) > 0, lo moves
-    up to hi and hi doubles, at most ``grow`` times; None if f stays
-    positive.
+    f is continuous but may have kinks (where an active set changes); Brent
+    falls back to bisection steps there, and converges superlinearly on the
+    smooth pieces in between.  With ``grow`` > 0 the bracket is found first:
+    while f(hi) > 0, lo moves up to hi and hi doubles, at most ``grow`` times;
+    None if f is still positive at the last doubled hi.
     """
     for _ in range(grow):
         if f(hi) <= 0.0:
             break
         lo, hi = hi, 2.0 * hi
     else:
-        if grow:
+        if grow and f(hi) > 0.0:
             return None
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # brentq's default of 100 iterations is too few where f falls almost like
+    # a step (gains spread over many decades): Brent then mostly bisects, and
+    # took up to 166 iterations over 2000 random refines with gains 1e±12
+    return brentq(f, lo, hi, xtol=1e-300, rtol=_RTOL, maxiter=1000)
 
 
 def _pair_arrays(real: ChannelRealization, perm: np.ndarray, relay_rows: np.ndarray):

@@ -150,9 +150,10 @@ def extra_individual_allocate(real: ChannelRealization, perm: np.ndarray,
     """Two-budget allocation for a fixed pairing and relay-use pattern.
 
     With the pattern frozen the relay consumption is continuous and
-    decreasing in the price ratio, so the binding ratio is a plain
-    bisection (ratio 0 if the relay budget never binds).  Also returns the
-    implied power prices (mu_s, mu_r) for the re-decision loop.
+    decreasing in the price ratio, so the binding ratio is one bracketed
+    root solve, ``refine.crossing`` (ratio 0 if the relay budget never
+    binds).  Also returns the implied power prices (mu_s, mu_r) for the
+    re-decision loop.
     """
     gains_relay, c_s, c_r = pair_tables(
         real, np.broadcast_to((real.a_sr > real.a_sd)[:, None],

@@ -84,3 +84,36 @@ def test_weighted_sum_rate_monotone_in_power(rng):
     r1 = weighted_sum_rate(real, alloc, extra_allowed=False)
     alloc.p_s *= 2.0
     assert weighted_sum_rate(real, alloc, extra_allowed=False) > r1
+
+
+def test_weighted_sum_rate_names_first_offending_pair():
+    real = manual_real([1.0, 1.0, 1.0], [3.0, 3.0, 3.0], [3.0, 3.0, 3.0])
+    alloc = Allocation(pairing=np.arange(3), modes=np.array([0, 1, 0], np.int8),
+                       p_s=np.ones(3), p_r=np.array([0.0, 0.5, 0.5]),
+                       q_s=np.array([0.0, 0.5, 0.0]))
+    with pytest.raises(ValidationError, match="relay pair 1 carries second-slot"):
+        weighted_sum_rate(real, alloc, extra_allowed=True)
+    alloc.q_s[1] = 0.0
+    with pytest.raises(ValidationError, match="direct-link pair 2 carries relay power"):
+        weighted_sum_rate(real, alloc, extra_allowed=True)
+
+
+def test_weighted_sum_rate_is_sum_of_pair_rates(rng):
+    for m in (1, 5, 32):
+        real = manual_real(rng.uniform(0.0, 2.0, m), rng.uniform(0.2, 4.0, m),
+                           rng.uniform(0.2, 4.0, m), w=rng.uniform(0.1, 2.0, m))
+        modes = rng.integers(0, 3, m).astype(np.int8)
+        direct = modes == PairMode.DIRECT
+        alloc = Allocation(pairing=rng.permutation(m), modes=modes,
+                           p_s=rng.uniform(0.0, 2.0, m),
+                           p_r=np.where(direct, 0.0, rng.uniform(0.0, 2.0, m)),
+                           q_s=np.where(direct, rng.uniform(0.0, 2.0, m), 0.0))
+        want = 0.0
+        for k, j in enumerate(alloc.pairing):
+            if direct[k]:
+                want += pair_rate_extra_direct(real.w[k], real.w[j], real.a_sd[k],
+                                               real.a_sd[j], alloc.p_s[k], alloc.q_s[k])
+            else:
+                want += pair_rate_relay_raw(real.w[k], real.a_sr[k], real.a_sd[k],
+                                            real.a_rd[j], alloc.p_s[k], alloc.p_r[k])
+        assert weighted_sum_rate(real, alloc, extra_allowed=True) == pytest.approx(want, rel=1e-14)

@@ -1,11 +1,39 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relaypair.refine as refine
 from relaypair import (IndividualBudgets, assert_feasible, weighted_sum_rate,
                        zero_crossing_refine)
 from relaypair.types import PairMode
 
 from conftest import manual_real, random_real
+
+
+def _ref_crossing(f, lo, hi, grow=0, widths=None):
+    """The root finder ``refine.crossing`` used before Brent's method: a
+    fixed 80-step bisection after the same bracket growth (including its old
+    habit of never testing the last doubled end).  Appends the final
+    bracket's width relative to the returned point to ``widths``."""
+    for _ in range(grow):
+        if f(hi) <= 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        if grow:
+            return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    if widths is not None:
+        widths.append((hi - lo) / (0.5 * (lo + hi)))
+    return 0.5 * (lo + hi)
 
 
 def _check(real, p_src, p_rly, perm=None):
@@ -95,3 +123,86 @@ def manual_alloc_rate(real, perm, shares_s):
                        p_s=shares_s, p_r=np.zeros(real.m),
                        q_s=np.zeros(real.m))
     return weighted_sum_rate(real, alloc, extra_allowed=False)
+
+
+def test_crossing_tests_last_doubled_end():
+    # two doublings of [0, 1] end at [2, 4], which holds the root 3
+    assert refine.crossing(lambda r: 3.0 - r, 0.0, 1.0, grow=2) == pytest.approx(3.0, rel=1e-15)
+    assert refine.crossing(lambda r: 3.0 - r, 0.0, 1.0, grow=1) is None
+
+
+def test_step_like_relay_use_converges():
+    # gains spread over twelve decades make the relay use fall almost like a
+    # step at the crossing; Brent then mostly bisects, past brentq's default
+    # of 100 iterations
+    real = manual_real(
+        [0.0, 0.0, 0.0, 4.118233490882953e-06],
+        [1.540763568365419e-04, 5.119005299911984e-08, 2.1001173957582394e+05,
+         5.43959823557782],
+        [1.4067078922410872e-07, 1.0593032157992052e-10, 692.4070866664324,
+         1.0953086735940026e+08],
+        w=[1.4115338355756997, 0.6912667026426652, 1.6054224693163397,
+           1.0865383676759195])
+    p_rly = 0.05490997359981995
+    alloc, diag = _check(real, 0.12223970670671509, p_rly, perm=np.array([1, 2, 0, 3]))
+    assert diag["case"] == "interior"
+    assert alloc.p_r.sum() == pytest.approx(p_rly, rel=1e-6)
+
+
+_gain = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _refine_inputs(draw):
+    m = draw(st.integers(1, 16))
+    vec = st.lists(_gain, min_size=m, max_size=m)
+    a_sd = np.array(draw(vec))
+    # rows with a dead direct link are relay-only: they reach interior_tail
+    # and source_slack
+    a_sd[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    real = manual_real(a_sd, draw(vec), draw(vec),
+                       w=draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
+    perm = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    p_src = 10.0 ** draw(st.floats(-2.0, 2.0))
+    p_rly = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return real, perm, p_src, p_rly
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refine_inputs())
+def test_brent_matches_bisection(inputs):
+    real, perm, p_src, p_rly = inputs
+    alloc, diag = zero_crossing_refine(real, perm, p_src, p_rly)
+    assert_feasible(real, alloc, budgets=IndividualBudgets(p_src, p_rly))
+    widths = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "crossing", functools.partial(_ref_crossing, widths=widths))
+        ref_alloc, ref_diag = zero_crossing_refine(real, perm, p_src, p_rly)
+    assert diag["case"] == ref_diag["case"]
+    if max(widths, default=0.0) <= 1e-14:
+        assert diag["ratio"] == pytest.approx(ref_diag["ratio"], rel=1e-12)
+        rate = weighted_sum_rate(real, alloc, extra_allowed=False)
+        ref_rate = weighted_sum_rate(real, ref_alloc, extra_allowed=False)
+        assert rate == pytest.approx(ref_rate, rel=1e-12)
+    else:
+        # 80 halvings of a wide bracket (say [0, 1e9] around a root near
+        # 1e-6) leave the bisection short of float resolution; the crossing
+        # then meets the relay budget at least as closely as the bisection
+        assert diag["case"] in ("interior", "interior_tail")
+        miss = abs(alloc.p_r.sum() - p_rly)
+        assert miss <= abs(ref_alloc.p_r.sum() - p_rly) + 1e-12 * p_rly
+
+
+def test_interior_refine_needs_few_nu_solves(monkeypatch):
+    # the bisection spent 80 nu_solve calls on the crossing alone
+    calls = []
+    nu_solve = refine.nu_solve
+
+    def counting(*args):
+        calls.append(1)
+        return nu_solve(*args)
+
+    monkeypatch.setattr(refine, "nu_solve", counting)
+    _, diag = zero_crossing_refine(random_real(32, seed=0), np.arange(32), 4.0, 1.0)
+    assert diag["case"] == "interior"
+    assert len(calls) <= 25
