@@ -14,12 +14,11 @@ import enum
 
 import numpy as np
 
-from .channel import pair_tables, relay_mask_total
+from .channel import channel_allocation, pair_channels, relay_mask_total
 from .pairing import scp_pairing
 from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
-from .solver_extra import _assemble_channels, _fill_alloc, solve_extra_individual
-from .solver_total import build_allocation
+from .solver_extra import solve_extra_individual
 from .types import (ChannelRealization, IndividualBudgets, SolveReport,
                     SolverConfig, check_permutation)
 from .waterfill import waterfill
@@ -47,20 +46,12 @@ def evaluate_baseline(real: ChannelRealization, pairing: np.ndarray, *,
     perm = check_permutation(pairing, real.m)
     if (total_budget is None) == (budgets is None):
         raise ValueError("exactly one of total_budget and budgets is required")
-    rows = np.arange(real.m)
 
     if total_budget is not None:
-        relay = relay_mask_total(real)
-        gains, c_s, c_r = pair_tables(real, relay)
-        if not extra_direct:
-            wf = waterfill(gains[rows, perm], real.w, total_budget)
-            alloc = build_allocation(real, perm, wf.powers, relay, c_s, c_r)
-        else:
-            g, wgt, cs, cr, tags = _assemble_channels(
-                real, perm, relay[rows, perm], gains, c_s, c_r)
-            wf = waterfill(g, wgt, total_budget)
-            alloc = _fill_alloc(real, perm, relay[rows, perm], wf.powers,
-                                cs, cr, tags)
+        relay = relay_mask_total(real)[np.arange(real.m), perm]
+        gains, w, c_s, c_r = pair_channels(real, perm, relay, extra=extra_direct)
+        wf = waterfill(gains, w, total_budget)
+        alloc = channel_allocation(perm, relay, wf.powers, c_s, c_r)
         rate = weighted_sum_rate(real, alloc, extra_allowed=extra_direct)
         return SolveReport(pairing=perm, allocation=alloc, primal_rate=rate,
                            dual_value=np.nan, iterations=0, trigger_iter=0,

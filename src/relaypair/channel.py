@@ -6,6 +6,11 @@ the direct link.  In relay operation the total pair power is split between
 source and relay so that relay and destination receive the same amount of
 information; the pair then behaves like a single channel with an equivalent
 gain.
+
+For a fixed pairing every pair is then a set of single-slot channels (one
+for a relay pair, one or, with second-slot reuse, two for a direct pair):
+``pair_channels`` lays them out and ``channel_allocation`` maps powers on
+them back to an ``Allocation``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import csv
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .types import ChannelRealization, PairMode, RicianConfig
+from .types import Allocation, ChannelRealization, PairMode, RicianConfig
 
 
 def sample_realization(cfg: RicianConfig, seed: int) -> ChannelRealization:
@@ -73,17 +78,58 @@ def relay_mask_total(real: ChannelRealization) -> np.ndarray:
     return (real.a_sr[:, None] > a_sd) & (real.a_rd[None, :] > a_sd)
 
 
+def relay_mask_extra(real: ChannelRealization) -> np.ndarray:
+    """Boolean (M, M) matrix: pair (k, m) may use the relay when direct pairs
+    reuse the second slot (a_sr > a_sd; the comparison against staying
+    direct is left to the allocation)."""
+    return np.broadcast_to((real.a_sr > real.a_sd)[:, None], (real.m, real.m)).copy()
+
+
+def _relay_channel(a_sd, a_sr, a_rd, relay):
+    """Equivalent gain and split (c_s, c_r) where ``relay``, the direct link
+    (a_sd, 1, 0) elsewhere; the arguments broadcast."""
+    denom = np.where(relay, a_sr + a_rd - a_sd, 1.0)
+    gains = np.where(relay, a_sr * a_rd / denom, a_sd)
+    c_s = np.where(relay, a_rd / denom, 1.0)
+    c_r = np.where(relay, (a_sr - a_sd) / denom, 0.0)
+    return gains, c_s, c_r
+
+
 def pair_tables(real: ChannelRealization, relay: np.ndarray):
     """Equivalent gain and split matrices for a given relay-branch mask."""
-    a_sr = real.a_sr[:, None]
-    a_sd = real.a_sd[:, None]
-    a_rd = real.a_rd[None, :]
-    denom = a_sr + a_rd - a_sd
-    safe = np.where(relay, denom, 1.0)
-    gains = np.where(relay, a_sr * a_rd / safe, np.broadcast_to(a_sd, relay.shape))
-    c_s = np.where(relay, a_rd / safe, 1.0)
-    c_r = np.where(relay, (a_sr - a_sd) / safe, 0.0)
-    return gains, c_s, c_r
+    return _relay_channel(real.a_sd[:, None], real.a_sr[:, None], real.a_rd[None, :], relay)
+
+
+def pair_channels(real: ChannelRealization, perm: np.ndarray, relay: np.ndarray,
+                  extra: bool = False):
+    """The single-slot channels of a pairing: (gains, weights, c_s, c_r).
+
+    Entry k is pair k's relay channel where relay[k], its first-slot direct
+    channel elsewhere; a unit of power on entry k costs c_s[k] at the source
+    and c_r[k] at the relay.  With ``extra`` (second-slot reuse), entry M + k
+    is pair k's second-slot direct channel, with zero gain where pair k
+    relays, so it gets no power.
+    """
+    gains, c_s, c_r = _relay_channel(real.a_sd, real.a_sr, real.a_rd[perm], relay)
+    w = real.w
+    if extra:
+        gains = np.concatenate((gains, np.where(relay, 0.0, real.a_sd[perm])))
+        w = np.concatenate((w, w[perm]))
+        c_s = np.concatenate((c_s, np.ones(real.m)))
+        c_r = np.concatenate((c_r, np.zeros(real.m)))
+    return gains, w, c_s, c_r
+
+
+def channel_allocation(perm: np.ndarray, relay: np.ndarray, powers: np.ndarray,
+                       c_s: np.ndarray, c_r: np.ndarray) -> Allocation:
+    """The allocation of ``powers`` on the channels ``pair_channels`` built
+    for (perm, relay), whose splits are c_s and c_r."""
+    m = perm.shape[0]
+    p = powers[:m]
+    modes = np.where(relay, int(PairMode.RELAY), int(PairMode.DIRECT)).astype(np.int8)
+    q_s = powers[m:].copy() if powers.shape[0] > m else np.zeros(m)
+    return Allocation(pairing=perm.copy(), modes=modes, p_s=c_s[:m] * p,
+                      p_r=c_r[:m] * p, q_s=q_s)
 
 
 # -- instance file interface ------------------------------------------------

@@ -5,9 +5,10 @@ O(M^2) pair-score matrices that the subgradient driver (``relaypair.dual``)
 evaluates every iteration and that dominate the solver runtime, so each
 problem allocates its M x M buffers once and the kernels write into them
 (the ``out`` keyword) instead of allocating fresh matrices every iteration.
-Water-filling and the source-pinned ``nu_solve`` are exact: channels are
-sorted by the water level at which they switch on, and cumulative sums give
-the level at which the active set meets the budget.
+Water-filling and the source-pinned ``nu_solve`` share one exact water-level
+kernel (``_water``): channels are sorted by the level at which they switch
+on, cumulative sums give the level at which the active set meets the
+budget, and one linear correction meets it to machine precision.
 
 Conventions: ``mu`` prices are floored at ``MU_FLOOR`` wherever they divide,
 row index k is the first-slot subcarrier, column index m the second-slot
@@ -37,18 +38,45 @@ def _mode_buffers(m, n):
     return _buffers(m, n) + (np.empty((m, m), dtype=bool),)
 
 
-def _level(thresh, slope, icpt, budget):
-    """Water level nu at which the channels switched on use exactly ``budget``.
+def _water(gains, weights, budget, price=None, cost=None):
+    """Water level nu and powers p_i = [w_i nu / price_i - 1/a_i]^+ at which
+    the channels with a_i, w_i > 0 use exactly ``budget``, channel i using
+    cost_i p_i of it (``price`` and ``cost`` default to 1).  Returns
+    (nu, powers); nu is 0 and every power 0 when the budget is 0 or no
+    channel is active.
 
-    Channel i is on above ``thresh[i]`` and then uses ``slope[i] * nu -
-    icpt[i]`` of the budget.  Walking the channels in threshold order, the
-    level of the first active set that does not reach the next threshold is
-    the answer (Palomar & Fonollosa, IEEE TSP 2005).
+    Channel i is on above nu = 1/(slope_i a_i), slope_i = w_i / price_i.
+    Walking the channels in that order, the level of the first active set
+    that does not reach the next threshold is the answer (Palomar &
+    Fonollosa, IEEE TSP 2005).  slope nu - 1/a cancels when 1/a dwarfs the
+    power, so one linear step in nu puts the rounding back and the budget
+    is met to machine precision.
     """
+    powers = np.zeros(gains.shape[0])
+    idx = ((gains > 0.0) & (weights > 0.0)).nonzero()[0]
+    if budget <= 0.0 or idx.size == 0:
+        return 0.0, powers
+    g = gains[idx]
+    slope = weights[idx] if price is None else weights[idx] / price[idx]
+    inv = 1.0 / g
+    thresh = 1.0 / (slope * g)
+    # budget use per unit of nu above the threshold, and at the threshold
+    c = None if cost is None else cost[idx]
+    c_slope, c_inv = (slope, inv) if c is None else (c * slope, c * inv)
     order = thresh.argsort()
-    cand = (budget + icpt[order].cumsum()) / slope[order].cumsum()
+    cand = (budget + c_inv[order].cumsum()) / c_slope[order].cumsum()
     stops = (cand[:-1] <= thresh[order[1:]]).nonzero()[0]
-    return cand[stops[0]] if stops.size else cand[-1]
+    nu = cand[stops[0]] if stops.size else cand[-1]
+    on = thresh < nu
+    p = slope[on] * nu - inv[on]
+    # no correction where every active channel is free (c = 0): nu is then
+    # infinite and so is every power
+    den = c_slope[on].sum()
+    if den > 0.0:
+        used = p.sum() if c is None else c[on] @ p
+        p += slope[on] * ((budget - used) / den)
+    powers[idx[on]] = np.maximum(p, 0.0)
+    return nu, powers
 
 
 def _relay_terms(wcol, gains, inv, price, p, y, work):
@@ -74,28 +102,11 @@ def _relay_terms(wcol, gains, inv, price, p, y, work):
 def waterfill_kernel(gains, weights, budget):
     """Weighted water-filling p_i = [w_i/(2 mu) - 1/a_i]^+ meeting the budget.
 
-    Returns (powers, mu).  Channel i switches on once the level nu = 1/(2 mu)
-    exceeds 1/(w_i a_i); the exact level comes from cumulative sums of w and
-    1/a over the channels sorted by that threshold.
+    Returns (powers, mu); mu = 1/(2 nu) for the water level nu of ``_water``.
     """
-    powers = np.zeros(gains.shape[0])
-    wa = weights * gains
-    idx = (wa > 0.0).nonzero()[0]
-    if budget <= 0.0 or idx.size == 0:
-        return powers, 0.5 * wa.max(initial=0.0)
-    w = weights[idx]
-    inv = 1.0 / gains[idx]
-    thresh = 1.0 / wa[idx]
-    nu = _level(thresh, w, inv, budget)
-    on = thresh < nu
-    w_on = w[on]
-    p = w_on * nu - inv[on]
-    # w nu - 1/a cancels when 1/a dwarfs the power; one linear correction
-    # puts the rounding back so the budget is met to machine precision (no
-    # channel is on only when the budget is below the rounding of nu)
-    if p.size:
-        p += w_on * ((budget - p.sum()) / w_on.sum())
-    powers[idx[on]] = np.maximum(p, 0.0)
+    nu, powers = _water(gains, weights, budget)
+    if nu == 0.0:
+        return powers, 0.5 * (weights * gains).max(initial=0.0)
     return powers, 0.5 / nu
 
 
@@ -240,24 +251,11 @@ def nu_solve(gains, weights, c_s, c_r, ratio, p_src):
     pinned so the source consumption equals p_src.
 
     Power on channel i is [w_i * nu / (c_s_i + c_r_i * ratio) - 1/a_i]^+
-    with nu = 1/(2 mu_s).  Source use is piecewise linear and increasing in
-    nu, so the pin is found by walking the channels in order of their
-    switch-on levels (see ``_level``).  Returns (nu, powers, relay_used).
+    with nu = 1/(2 mu_s), and it costs c_s_i of it at the source (see
+    ``_water``).  Returns (nu, powers, relay_used).
     """
-    powers = np.zeros(gains.shape[0])
-    idx = ((gains > 0.0) & (weights > 0.0)).nonzero()[0]
-    if p_src <= 0.0 or idx.size == 0:
-        return 0.0, powers, 0.0
-    g = gains[idx]
-    cs = c_s[idx]
-    cr = c_r[idx]
-    slope = weights[idx] / (cs + cr * ratio)  # d p_i / d nu
-    thresh = 1.0 / (slope * g)
-    nu = _level(thresh, cs * slope, cs / g, p_src)
-    on = thresh < nu
-    p = slope[on] * nu - 1.0 / g[on]
-    powers[idx[on]] = p
-    return nu, powers, cr[on] @ p
+    nu, powers = _water(gains, weights, p_src, c_s + c_r * ratio, c_s)
+    return nu, powers, c_r @ powers
 
 
 # -- brute-force pairing search (total power) -------------------------------

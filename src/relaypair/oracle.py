@@ -6,12 +6,12 @@ import itertools
 
 import numpy as np
 
-from .channel import pair_tables, relay_mask_total
+from .channel import pair_channels, pair_tables, relay_mask_extra, relay_mask_total
 from .errors import SizeLimitError
 from .kernels import exhaustive_total_kernel
 from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
-from .solver_extra import _assemble_channels, _fill_alloc, extra_individual_allocate
+from .solver_extra import extra_individual_allocate
 from .types import ChannelRealization, IndividualBudgets
 from .waterfill import waterfill
 
@@ -36,26 +36,26 @@ def exhaustive_total(real: ChannelRealization, budget: float):
     return float(rate), perms[idx].copy()
 
 
+def _extra_candidates(real: ChannelRealization):
+    """Every pairing with every relay-use vector admissible under
+    second-slot reuse (``relay_mask_extra``, the same for every partner)."""
+    free = np.flatnonzero(relay_mask_extra(real)[:, 0])
+    for perm in _perm_array(real.m):
+        for bits in itertools.product((False, True), repeat=free.size):
+            use = np.zeros(real.m, dtype=bool)
+            use[free] = bits
+            yield perm, use
+
+
 def exhaustive_extra_total(real: ChannelRealization, budget: float):
     """Adds enumeration of the per-pair relay-use vector s."""
     _check_size(real.m, 6, "exhaustive_extra_total")
-    relay_ok = np.broadcast_to((real.a_sr > real.a_sd)[:, None],
-                               (real.m, real.m))
-    gains, c_s, c_r = pair_tables(real, relay_ok)
-    rows = np.arange(real.m)
     best = (-np.inf, None, None)
-    for perm in _perm_array(real.m):
-        allowed = relay_ok[rows, perm]
-        free = np.flatnonzero(allowed)
-        for bits in itertools.product((0, 1), repeat=free.size):
-            s = np.zeros(real.m, dtype=bool)
-            s[free] = np.array(bits, dtype=bool)
-            g, wgt, cs, cr, tags = _assemble_channels(real, perm, s,
-                                                      gains, c_s, c_r)
-            wf = waterfill(g, wgt, budget)
-            rate = wf.rate(g, wgt)
-            if rate > best[0]:
-                best = (rate, perm.copy(), s.copy())
+    for perm, use in _extra_candidates(real):
+        gains, w, _, _ = pair_channels(real, perm, use, extra=True)
+        rate = waterfill(gains, w, budget).rate(gains, w)
+        if rate > best[0]:
+            best = (rate, perm.copy(), use)
     return float(best[0]), best[1], best[2]
 
 
@@ -79,15 +79,9 @@ def reference_extra_individual(real: ChannelRealization,
     information split on relay pairs, so this is a strong reference value
     rather than a guaranteed optimum."""
     _check_size(real.m, 4, "reference_extra_individual")
-    rows = np.arange(real.m)
-    can = real.a_sr > real.a_sd
     best = (-np.inf, None, None)
-    for perm in _perm_array(real.m):
-        free = np.flatnonzero(can)
-        for bits in itertools.product((0, 1), repeat=free.size):
-            s = np.zeros(real.m, dtype=bool)
-            s[free] = np.array(bits, dtype=bool)
-            _, rate, _, _ = extra_individual_allocate(real, perm, s, budgets)
-            if rate > best[0]:
-                best = (rate, perm.copy(), s.copy())
+    for perm, use in _extra_candidates(real):
+        _, rate, _, _ = extra_individual_allocate(real, perm, use, budgets)
+        if rate > best[0]:
+            best = (rate, perm.copy(), use)
     return float(best[0]), best[1], best[2]

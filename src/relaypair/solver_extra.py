@@ -7,76 +7,26 @@ soon as a_sr > a_sd (the second slot is no longer free, so the comparison
 against staying direct moves into the scores themselves).
 
 Both are problems for the shared subgradient driver (``relaypair.dual``).
-A candidate fixes its pairing and relay-use pattern, allocates power
-(water-filling under the shared budget, ``extra_individual_allocate``
-under split budgets), and re-decides relay use at the prices that
-allocation implies until the pattern settles.
+A candidate fixes its pairing and relay-use pattern, which fixes its
+channel list (``channel.pair_channels``: entry k is pair k's relay or
+first-slot channel, entry M + k its second slot, dead where pair k relays),
+allocates power on it (water-filling under the shared budget,
+``extra_individual_allocate`` under split budgets), and re-decides relay
+use at the prices that allocation implies until the pattern settles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import pair_tables
+from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_extra
 from .dual import DualProblem, solve
-from .kernels import (MU_FLOOR, _inv_gain, _mode_buffers, extra_ind_scores,
-                      extra_scores, nu_solve)
+from .kernels import MU_FLOOR, _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
 from .pairing import amend_pairing, scp_pairing
 from .rates import weighted_sum_rate
-from .refine import crossing, zero_crossing_refine
-from .types import (Allocation, ChannelRealization, IndividualBudgets,
-                    PairMode, SolveReport, SolverConfig)
+from .refine import split_solve, zero_crossing_refine
+from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverConfig
 from .waterfill import waterfill
-
-
-def _relay_ok(real: ChannelRealization) -> np.ndarray:
-    return np.broadcast_to((real.a_sr > real.a_sd)[:, None],
-                           (real.m, real.m)).copy()
-
-
-def _assemble_channels(real, perm, use_relay, gains_relay, c_s, c_r):
-    """Flat channel list for a permutation and per-pair relay decision.
-
-    Returns (gains, weights, cs, cr, tags) where tags[i] = (pair k, role)
-    with role 0 = relay, 1 = first-slot direct, 2 = second-slot direct.
-    """
-    g, wgt, cs, cr, tags = [], [], [], [], []
-    for k in range(real.m):
-        m2 = perm[k]
-        if use_relay[k]:
-            g.append(gains_relay[k, m2])
-            wgt.append(real.w[k])
-            cs.append(c_s[k, m2])
-            cr.append(c_r[k, m2])
-            tags.append((k, 0))
-        else:
-            g.append(real.a_sd[k])
-            wgt.append(real.w[k])
-            cs.append(1.0)
-            cr.append(0.0)
-            tags.append((k, 1))
-            g.append(real.a_sd[m2])
-            wgt.append(real.w[m2])
-            cs.append(1.0)
-            cr.append(0.0)
-            tags.append((k, 2))
-    return (np.array(g), np.array(wgt), np.array(cs), np.array(cr), tags)
-
-
-def _fill_alloc(real, perm, use_relay, powers, cs, cr, tags) -> Allocation:
-    alloc = Allocation.zeros(real.m)
-    alloc.pairing = np.asarray(perm, dtype=np.int64).copy()
-    alloc.modes = np.where(use_relay, int(PairMode.RELAY),
-                           int(PairMode.DIRECT)).astype(np.int8)
-    for i, (k, role) in enumerate(tags):
-        if role == 0:
-            alloc.p_s[k] = cs[i] * powers[i]
-            alloc.p_r[k] = cr[i] * powers[i]
-        elif role == 1:
-            alloc.p_s[k] = powers[i]
-        else:
-            alloc.q_s[k] = powers[i]
-    return alloc
 
 
 # -- shared budget -----------------------------------------------------------
@@ -86,9 +36,8 @@ class ExtraTotalProblem(DualProblem):
 
     def __init__(self, real: ChannelRealization, budget: float):
         super().__init__(real, (float(budget),))
-        self.relay_ok = _relay_ok(real)
-        gains_relay, self.c_s, self.c_r = pair_tables(real, self.relay_ok)
-        self.gains_relay = np.ascontiguousarray(gains_relay)
+        self.relay_ok = relay_mask_extra(real)
+        self.gains_relay = np.ascontiguousarray(pair_tables(real, self.relay_ok)[0])
         self.inv = _inv_gain(self.gains_relay)
         self.out = _mode_buffers(real.m, 3)
 
@@ -110,19 +59,18 @@ class ExtraTotalProblem(DualProblem):
         use = self.use_relay[self.rows, perm]
         best = None
         for _ in range(5):
-            g, wgt, cs, cr, tags = _assemble_channels(self.real, perm, use,
-                                                      self.gains_relay, self.c_s, self.c_r)
-            wf = waterfill(g, wgt, self.budgets[0])
-            rate = wf.rate(g, wgt)
+            gains, w, c_s, c_r = pair_channels(self.real, perm, use, extra=True)
+            wf = waterfill(gains, w, self.budgets[0])
+            rate = wf.rate(gains, w)
             if best is None or rate > best[0]:
-                best = (rate, use, wf.powers, cs, cr, tags, wf.water_price)
+                best = (rate, (use, wf.powers, c_s, c_r), wf.water_price)
             self.scores((wf.water_price,), alpha)
             nxt = self.use_relay[self.rows, perm]
             if np.array_equal(nxt, use):
                 break
             use = nxt
-        rate, use, powers, cs, cr, tags, price = best
-        self.keep(rate, perm, _fill_alloc(self.real, perm, use, powers, cs, cr, tags))
+        rate, powered, price = best
+        self.keep(rate, perm, channel_allocation(perm, *powered))
         return price
 
     def evaluate(self, scores, sel, alpha):
@@ -147,46 +95,16 @@ def solve_extra_total(real: ChannelRealization, budget: float,
 def extra_individual_allocate(real: ChannelRealization, perm: np.ndarray,
                               use_relay: np.ndarray,
                               budgets: IndividualBudgets):
-    """Two-budget allocation for a fixed pairing and relay-use pattern.
-
-    With the pattern frozen the relay consumption is continuous and
-    decreasing in the price ratio, so the binding ratio is one bracketed
-    root solve, ``refine.crossing`` (ratio 0 if the relay budget never
-    binds).  Also returns the implied power prices (mu_s, mu_r) for the
-    re-decision loop.
+    """Two-budget allocation for a fixed pairing and relay-use pattern: the
+    frozen channel list (``channel.pair_channels``) solved by
+    ``refine.split_solve``.  Returns (allocation, rate, price ratio, (mu_s,
+    mu_r)); the power prices drive the re-decision loop.
     """
-    gains_relay, c_s, c_r = pair_tables(
-        real, np.broadcast_to((real.a_sr > real.a_sd)[:, None],
-                              (real.m, real.m)))
-    g, wgt, cs, cr, tags = _assemble_channels(real, perm, use_relay,
-                                              gains_relay, c_s, c_r)
-
-    def relay_use(ratio):
-        nu, powers, used = nu_solve(g, wgt, cs, cr, ratio, budgets.p_source)
-        return used - budgets.p_relay, powers, nu
-
-    excess, powers, nu = relay_use(0.0)
-    ratio = 0.0
-    if excess > 0.0:
-        ratio = crossing(lambda r: relay_use(r)[0], 0.0, 1.0, grow=64)
-        if ratio is not None:
-            _, powers, nu = relay_use(ratio)
-        else:
-            # every channel carries a relay share, so pinning the source keeps
-            # the relay over budget at any ratio: the source constraint is
-            # slack and the relay budget is pinned instead (source price 0)
-            g_r = np.where(cr > 0, g, 0.0)
-            nu, powers, _ = nu_solve(g_r, wgt, cr, np.zeros_like(cr), 0.0,
-                                     budgets.p_relay)
-            ratio = np.inf
-    alloc = _fill_alloc(real, perm, use_relay, powers, cs, cr, tags)
+    channels = pair_channels(real, perm, use_relay, extra=True)
+    powers, diag = split_solve(channels, budgets.p_source, budgets.p_relay)
+    alloc = channel_allocation(perm, use_relay, powers, channels[2], channels[3])
     rate = weighted_sum_rate(real, alloc, extra_allowed=True)
-    price = 1.0 / (2.0 * nu) if nu > 0 else np.inf
-    if np.isinf(ratio):
-        mu_sr = (0.0, price)
-    else:
-        mu_sr = (price, ratio * price)
-    return alloc, rate, ratio, mu_sr
+    return alloc, rate, diag["ratio"], (diag["mu_s"], diag["mu_r"])
 
 
 class ExtraIndividualProblem(DualProblem):

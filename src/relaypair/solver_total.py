@@ -12,24 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import pair_tables, relay_mask_total
+from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_total
 from .dual import DualProblem, solve
 from .kernels import _buffers, _inv_gain, total_scores
 from .pairing import amend_pairing
 from .rates import weighted_sum_rate
-from .types import Allocation, ChannelRealization, PairMode, SolveReport, SolverConfig
+from .types import ChannelRealization, SolveReport, SolverConfig
 from .waterfill import waterfill
-
-
-def build_allocation(real: ChannelRealization, perm: np.ndarray,
-                     powers: np.ndarray, relay_mask: np.ndarray,
-                     c_s: np.ndarray, c_r: np.ndarray) -> Allocation:
-    rows = np.arange(real.m)
-    relay = relay_mask[rows, perm]
-    modes = np.where(relay, int(PairMode.RELAY), int(PairMode.DIRECT)).astype(np.int8)
-    return Allocation(pairing=perm.copy(), modes=modes,
-                      p_s=c_s[rows, perm] * powers, p_r=c_r[rows, perm] * powers,
-                      q_s=np.zeros(real.m))
 
 
 class TotalProblem(DualProblem):
@@ -38,8 +27,7 @@ class TotalProblem(DualProblem):
     def __init__(self, real: ChannelRealization, budget: float):
         super().__init__(real, (float(budget),))
         self.relay = relay_mask_total(real)
-        gains, self.c_s, self.c_r = pair_tables(real, self.relay)
-        self.gains = np.ascontiguousarray(gains)
+        self.gains = np.ascontiguousarray(pair_tables(real, self.relay)[0])
         self.inv = _inv_gain(self.gains)
         self.out = _buffers(real.m, 3)
 
@@ -53,9 +41,10 @@ class TotalProblem(DualProblem):
 
     def candidate(self, perm):
         """Water-fill the permutation's channels; returns the water price."""
-        gains = self.gains[self.rows, perm]
-        wf = waterfill(gains, self.real.w, self.budgets[0])
-        self.keep(wf.rate(gains, self.real.w), perm, wf.powers, wf.water_price)
+        relay = self.relay[self.rows, perm]
+        gains, w, c_s, c_r = pair_channels(self.real, perm, relay)
+        wf = waterfill(gains, w, self.budgets[0])
+        self.keep(wf.rate(gains, w), perm, (relay, wf.powers, c_s, c_r), wf.water_price)
         return wf.water_price
 
     def evaluate(self, scores, sel, alpha):
@@ -64,8 +53,8 @@ class TotalProblem(DualProblem):
 
     def finish(self, prices, alpha):
         self.reprice(prices[0] if self.best is None else self.best[3], self.candidate)
-        _, perm, powers, price = self.best
-        alloc = build_allocation(self.real, perm, powers, self.relay, self.c_s, self.c_r)
+        _, perm, powered, price = self.best
+        alloc = channel_allocation(perm, *powered)
         return (weighted_sum_rate(self.real, alloc, extra_allowed=False), perm, alloc,
                 {"water_price": price})
 

@@ -2,12 +2,13 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relaypair.refine as refine
-from relaypair import (IndividualBudgets, assert_feasible, weighted_sum_rate,
-                       zero_crossing_refine)
+from relaypair import (IndividualBudgets, assert_feasible, validate_allocation,
+                       weighted_sum_rate, zero_crossing_refine)
+from relaypair.solver_extra import extra_individual_allocate
 from relaypair.types import PairMode
 
 from conftest import manual_real, random_real
@@ -168,8 +169,16 @@ def _refine_inputs(draw):
     return real, perm, p_src, p_rly
 
 
+# two pairs share the mode boundary a_rd/a_sd = 1; freeing only one of them
+# gave rate 0.718 and source power over budget
+_TIED = (manual_real([1.0, 1.0, 1.0, 100.0, 1.0], [1.0, 1.0, 1.0, 1000.0, 10.0],
+                     [1.0, 1.0, 1.0, 1.0, 100.0], w=[1.0, 1.0, 1.0, 1.0, 2.0]),
+         np.array([0, 1, 2, 4, 3]), 1.0, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_refine_inputs())
+@example(_TIED)
 def test_brent_matches_bisection(inputs):
     real, perm, p_src, p_rly = inputs
     alloc, diag = zero_crossing_refine(real, perm, p_src, p_rly)
@@ -206,3 +215,63 @@ def test_interior_refine_needs_few_nu_solves(monkeypatch):
     _, diag = zero_crossing_refine(random_real(32, seed=0), np.arange(32), 4.0, 1.0)
     assert diag["case"] == "interior"
     assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tied_boundaries_share_the_intermediate_mode(m):
+    # M identical pairs all sit on the boundary a_rd/a_sd = 3: each takes
+    # 4/M source and 1/M relay power, combining 1 + 4/M + 3/M
+    real = manual_real([1.0] * m, [3.0] * m, [3.0] * m)
+    alloc, diag = _check(real, 4.0, 1.0)
+    assert diag["case"] == "intermediate"
+    assert np.all(alloc.modes == PairMode.INTERMEDIATE)
+    rate = weighted_sum_rate(real, alloc, extra_allowed=False)
+    assert rate == pytest.approx(0.5 * m * np.log1p(7.0 / m), rel=1e-12)
+
+
+def test_tied_boundaries_continuous():
+    # moving one of two tied boundaries by 1e-9 either way changes the rate
+    # by about as much
+    real, perm, p_src, p_rly = _TIED
+    alloc, _ = _check(real, p_src, p_rly, perm)
+    rate = weighted_sum_rate(real, alloc, extra_allowed=False)
+    for shift in (-1e-9, 1e-9):
+        moved = manual_real(real.a_sd, real.a_sr, real.a_rd + np.eye(5)[4] * shift, w=real.w)
+        alloc, _ = _check(moved, p_src, p_rly, perm)
+        assert weighted_sum_rate(moved, alloc, extra_allowed=False) == pytest.approx(rate, abs=1e-8)
+
+
+_extreme_gain = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+_budget = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _extreme_inputs(draw):
+    m = draw(st.integers(1, 16))
+    vec = st.lists(_extreme_gain, min_size=m, max_size=m)
+    a_sd = np.array(draw(vec))
+    # 30% of the rows have no direct link
+    a_sd[np.array(draw(st.lists(st.integers(0, 9).map(lambda d: d < 3),
+                                min_size=m, max_size=m)))] = 0.0
+    real = manual_real(a_sd, draw(vec), draw(vec),
+                       w=draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
+    perm = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    return real, perm, IndividualBudgets(draw(_budget), draw(_budget)), draw(st.data())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_inputs())
+def test_refine_feasible_at_extreme_gains(inputs):
+    real, perm, budgets, _ = inputs
+    alloc, _ = zero_crossing_refine(real, perm, budgets.p_source, budgets.p_relay)
+    assert validate_allocation(real, alloc, budgets=budgets) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_inputs())
+def test_extra_allocation_feasible_at_extreme_gains(inputs):
+    real, perm, budgets, data = inputs
+    use = np.array(data.draw(st.lists(st.booleans(), min_size=real.m, max_size=real.m)))
+    use &= real.a_sr > real.a_sd
+    alloc, _, _, _ = extra_individual_allocate(real, perm, use, budgets)
+    assert validate_allocation(real, alloc, budgets=budgets, extra_allowed=True) == []
