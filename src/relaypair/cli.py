@@ -142,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance")
     _add_constraint_args(p)
     p.add_argument("--baseline", choices=[k.value for k in BaselineKind])
-    p.add_argument("--trace", help="write per-iteration dual trace CSV here")
+    p.add_argument("--trace", help="write the dual trace CSV here: one row per "
+                   "subgradient iteration (split budgets) or assignment "
+                   "evaluation (shared budget)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bits", action="store_true", help="report rates in bits")
     p.set_defaults(func=cmd_solve)

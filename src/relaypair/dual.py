@@ -1,22 +1,35 @@
-"""The dual subgradient method that solves all four problems.
+"""The two dual drivers that solve the four problems.
 
 Each problem is relaxed the same way: one price per power budget (mu for a
 shared budget, (mu_s, mu_r) for separate source and relay budgets) and one
 pairing price alpha[m] per second-slot subcarrier for the one-partner-per-
-subcarrier constraint.  At fixed prices every first-slot subcarrier picks
-its best-scoring partner, which gives the dual function, and the prices
-take a subgradient step of length _STEP_SCALE / sqrt(i).  Yu & Lui (IEEE
-Trans. Commun. 2006) show why the duality gap of such nonconvex
-multicarrier problems shrinks as the number of subcarriers grows.
+subcarrier constraint.  Yu & Lui (IEEE Trans. Commun. 2006) show why the
+duality gap of such nonconvex multicarrier problems shrinks as the number
+of subcarriers grows.
 
-``iterate`` runs the two phases of the method.  Phase 1 stops once every
-price moves by less than _EPS_CONVERGE (relative) on three iterations in a
-row, after at least ``min_iter`` of them, or at the hard cap.  The repair
-span then runs _EXTRA_ITER_FRAC more iterations and hands each iteration's
-scores and column choice to the problem, which repairs them into a
-feasible candidate.  ``solve`` draws the initial prices, runs ``iterate``,
-lets the problem add its own final candidates, and reports the best primal
-with the lowest dual bound seen.
+``solve`` is the paper's subgradient method, and the driver of the split-
+budget problems.  At fixed prices every first-slot subcarrier picks its
+best-scoring partner, which gives the dual function, and the prices take a
+subgradient step of length _STEP_SCALE / sqrt(i).  ``iterate`` runs its two
+phases: phase 1 stops once every price moves by less than _EPS_CONVERGE
+(relative) on three iterations in a row, after at least ``min_iter`` of
+them, or at the hard cap.  The repair span then runs _EXTRA_ITER_FRAC more
+iterations and hands each iteration's scores and column choice to the
+problem, which repairs them into a feasible candidate.  ``solve`` draws the
+initial prices from its seed, runs ``iterate``, lets the problem add its
+own final candidates, and reports the best primal with the lowest dual
+bound seen.
+
+``search`` drives the shared-budget problems.  Minimized over alpha, the
+dual at a fixed power price mu is a max-weight assignment on the alpha-free
+scores (``DualProblem.assign``, a LAP solved by ``linear_sum_assignment``;
+Crouse, IEEE TAES 2016), so what is left is the convex function
+D(mu) = assignment(mu) + mu P of one price, with subgradient P minus the
+consumption at the assignment.  ``search`` minimizes it by a bracketed 1-D
+search: every assignment permutation is water-filled as a candidate, and
+the candidate's water price is the next mu to try whenever it lies inside
+the bracket.  It uses no random draw.  ``SolverConfig.max_iter_hard`` caps
+the iterations of ``solve`` and the assignment evaluations of ``search``.
 
 A problem (a ``DualProblem`` subclass) supplies its budgets, the score
 matrix at given prices, the consumption per budget at the chosen columns,
@@ -31,6 +44,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kernels import MU_FLOOR
+from .pairing import scp_pairing
 from .types import Allocation, ChannelRealization, SolveReport, SolverConfig
 
 _EPS_CONVERGE = 0.01      # relative price step that counts as settled
@@ -38,7 +52,7 @@ _EXTRA_ITER_FRAC = 0.10   # repair span, as a fraction of the phase-1 length
 _STEP_SCALE = 0.05        # step length at iteration i: _STEP_SCALE / sqrt(i)
 _DUAL_INIT_LOW = 0.0      # initial prices are uniform in [low, high]
 _DUAL_INIT_HIGH = 2.0
-_LAP_ROUNDS = 8
+_BRACKET_TOL = 1e-12      # relative bracket width at which ``search`` stops
 
 
 class DualProblem:
@@ -54,6 +68,11 @@ class DualProblem:
       iteration, before the prices step;
     - ``finish(prices, alpha)``: the last candidates; returns (rate,
       pairing, allocation, diagnostics) of the best one.
+
+    A shared-budget problem, which ``search`` drives, also implements
+    ``candidate(perm)``: water-fill the permutation, keep it if it is the
+    best so far, and return its water price; and ``result()``: (rate,
+    pairing, allocation, diagnostics) of the best candidate.
 
     ``fixed`` is a pairing held fixed through the iteration (the pairing
     prices then stay put), or None.
@@ -87,21 +106,6 @@ class DualProblem:
         bound = _dual(scores[rows, perm].sum(), prices, self.budgets, 0.0)
         self.bound = min(self.bound, bound)
         return bound, perm.astype(np.int64)
-
-    def reprice(self, price, candidate) -> None:
-        """Alternate the assignment at one power price with
-        ``candidate(perm)``, which evaluates the permutation and returns its
-        water price, the next price to assign at.  Stops at the first
-        permutation evaluated before, since equally good pairings can
-        otherwise alternate, or after _LAP_ROUNDS rounds."""
-        seen = set()
-        for _ in range(_LAP_ROUNDS):
-            _, perm = self.assign((price,))
-            price = candidate(perm)
-            key = perm.tobytes()
-            if key in seen:
-                break
-            seen.add(key)
 
 
 def _dual(row_sum, prices, budgets, alpha_sum):
@@ -177,23 +181,25 @@ def _carries_rate(real: ChannelRealization) -> bool:
     return bool((real.w * reach).any())
 
 
+def _silent(problem: DualProblem, collect_trace: bool) -> SolveReport:
+    """Without a channel of positive weighted gain every allocation has
+    rate 0: the zero allocation, with the exact bound 0."""
+    alloc = Allocation.zeros(problem.real.m)
+    if problem.fixed is not None:
+        alloc.pairing = problem.fixed.copy()
+    return SolveReport(pairing=alloc.pairing.copy(), allocation=alloc,
+                       primal_rate=0.0, dual_value=0.0, iterations=0,
+                       trigger_iter=0, converged=True,
+                       trace=np.zeros((0, 4)) if collect_trace else None)
+
+
 def solve(problem: DualProblem, cfg: SolverConfig | None = None, seed: int = 0,
           collect_trace: bool = False) -> SolveReport:
-    """Run the subgradient method on one problem and report the best primal.
-
-    Without a channel of positive weighted gain every allocation has rate
-    0, so the zero allocation is returned with the exact bound 0.
-    """
+    """Run the subgradient method on one problem and report the best primal."""
     cfg = cfg or SolverConfig()
     real = problem.real
     if not _carries_rate(real):
-        alloc = Allocation.zeros(real.m)
-        if problem.fixed is not None:
-            alloc.pairing = problem.fixed.copy()
-        return SolveReport(pairing=alloc.pairing.copy(), allocation=alloc,
-                           primal_rate=0.0, dual_value=0.0, iterations=0,
-                           trigger_iter=0, converged=True,
-                           trace=np.zeros((0, 4)) if collect_trace else None)
+        return _silent(problem, collect_trace)
 
     rng = np.random.default_rng(seed)
     prices = [float(rng.uniform(_DUAL_INIT_LOW, _DUAL_INIT_HIGH))
@@ -210,3 +216,68 @@ def solve(problem: DualProblem, cfg: SolverConfig | None = None, seed: int = 0,
         trace=trace[:it].copy() if collect_trace else None,
         diagnostics={**dict(zip(problem.price_names, prices)),
                      "alpha": alpha.copy(), **diag})
+
+
+def search(problem: DualProblem, cfg: SolverConfig | None = None,
+           collect_trace: bool = False) -> SolveReport:
+    """Minimize the assignment dual D(mu) of a shared-budget problem and
+    report the best candidate with the lowest D found.
+
+    The search starts at the water price of the rank-matched pairing.  At
+    each mu it solves the assignment, whose subgradient P - used moves one
+    end of the bracket [lo, hi] around the minimum, and water-fills the
+    assignment permutation.  That candidate's water price is the next mu
+    while it lies strictly inside the bracket; otherwise mu doubles or
+    halves until the bracket closes, then the bracket is bisected
+    geometrically.  It stops when the water price equals mu (the
+    candidate's rate then equals D(mu): a zero gap), when the subgradient
+    is 0, when the bracket is narrower than _BRACKET_TOL relative (or
+    below MU_FLOOR, where the prices are floored), or after
+    ``cfg.max_iter_hard`` evaluations.
+
+    ``iterations`` counts the assignment evaluations and ``converged`` says
+    whether a stopping rule held before the cap.  Trace rows are (mu, 0,
+    consumption at the assignment, D(mu)).
+    """
+    cfg = cfg or SolverConfig()
+    if not _carries_rate(problem.real):
+        return _silent(problem, collect_trace)
+    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
+    budget = problem.budgets[0]
+    price = problem.candidate(scp_pairing(problem.real))
+    lo, hi = 0.0, math.inf
+    mu = max(price, MU_FLOOR)
+    converged = False
+    it = 0
+    while it < cfg.max_iter_hard:
+        it += 1
+        bound, perm = problem.assign((mu,))
+        # the candidate may re-score at other prices: read the use first
+        used = sum(problem.used(perm))
+        if trace is not None:
+            trace[it - 1] = (mu, 0.0, used, bound)
+        price = problem.candidate(perm)
+        if used == budget or price == mu:
+            converged = True
+            break
+        if used > budget:
+            lo = mu
+        else:
+            hi = mu
+        if hi <= MU_FLOOR or hi - lo <= _BRACKET_TOL * lo:
+            converged = True
+            break
+        if lo < price < hi:
+            mu = max(price, MU_FLOOR)
+        elif hi == math.inf:
+            mu = 2.0 * lo
+        elif lo == 0.0:
+            mu = max(0.5 * hi, MU_FLOOR)
+        else:
+            mu = math.sqrt(lo * hi)
+    rate, perm, alloc, diag = problem.result()
+    return SolveReport(
+        pairing=perm, allocation=alloc, primal_rate=rate,
+        dual_value=problem.bound, iterations=it, trigger_iter=0,
+        converged=converged, trace=trace[:it].copy() if collect_trace else None,
+        diagnostics=diag)

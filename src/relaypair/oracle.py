@@ -13,7 +13,7 @@ from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
 from .solver_extra import extra_individual_allocate
 from .types import ChannelRealization, IndividualBudgets
-from .waterfill import waterfill
+from .waterfill import waterfill_or_zero
 
 
 def _perm_array(m: int) -> np.ndarray:
@@ -53,7 +53,7 @@ def exhaustive_extra_total(real: ChannelRealization, budget: float):
     best = (-np.inf, None, None)
     for perm, use in _extra_candidates(real):
         gains, w, _, _ = pair_channels(real, perm, use, extra=True)
-        rate = waterfill(gains, w, budget).rate(gains, w)
+        rate = waterfill_or_zero(gains, w, budget).rate(gains, w)
         if rate > best[0]:
             best = (rate, perm.copy(), use)
     return float(best[0]), best[1], best[2]

@@ -6,11 +6,14 @@ single-slot channels instead of one.  Relay use on a pair is admissible as
 soon as a_sr > a_sd (the second slot is no longer free, so the comparison
 against staying direct moves into the scores themselves).
 
-Both are problems for the shared subgradient driver (``relaypair.dual``).
-A candidate fixes its pairing and relay-use pattern, which fixes its
-channel list (``channel.pair_channels``: entry k is pair k's relay or
-first-slot channel, entry M + k its second slot, dead where pair k relays),
-allocates power on it (water-filling under the shared budget,
+Both are problems for the dual drivers (``relaypair.dual``).
+``solve_extra_total`` runs the assignment-dual search (``dual.search``) on
+its one shared budget, and ``solve_extra_individual`` the subgradient
+driver (``dual.solve``) on the split budgets.  A candidate fixes its
+pairing and relay-use pattern, which fixes its channel list
+(``channel.pair_channels``: entry k is pair k's relay or first-slot
+channel, entry M + k its second slot, dead where pair k relays), allocates
+power on it (water-filling under the shared budget,
 ``extra_individual_allocate`` under split budgets), and re-decides relay
 use at the prices that allocation implies until the pattern settles.
 """
@@ -20,13 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_extra
-from .dual import DualProblem, solve
+from .dual import DualProblem, search, solve
 from .kernels import MU_FLOOR, _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
 from .pairing import amend_pairing, scp_pairing
 from .rates import weighted_sum_rate
 from .refine import split_solve, zero_crossing_refine
 from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverConfig
-from .waterfill import waterfill
+from .waterfill import waterfill_or_zero
 
 
 # -- shared budget -----------------------------------------------------------
@@ -40,6 +43,9 @@ class ExtraTotalProblem(DualProblem):
         self.gains_relay = np.ascontiguousarray(pair_tables(real, self.relay_ok)[0])
         self.inv = _inv_gain(self.gains_relay)
         self.out = _mode_buffers(real.m, 3)
+        self.zero = np.zeros(real.m)
+        # relay use at the last scores: all direct before the first
+        self.use_relay = np.zeros((real.m, real.m), dtype=bool)
 
     def scores(self, prices, alpha):
         scores, self.use_relay, self.p1, self.p2 = extra_scores(
@@ -52,19 +58,21 @@ class ExtraTotalProblem(DualProblem):
         return (self.p1[self.rows, sel][relay].sum()
                 + (self.p2 + self.p2[sel])[~relay].sum(),)
 
-    def candidate(self, perm, alpha):
+    def candidate(self, perm):
         """Water-fill the permutation's channel list, starting from the relay
         use of the last scores and re-deciding it at the water price until it
-        settles; keeps the best and returns its water price."""
+        settles; keeps the best and returns its water price.  Re-scores, so
+        whatever ``used`` should read must be read before."""
         use = self.use_relay[self.rows, perm]
         best = None
         for _ in range(5):
             gains, w, c_s, c_r = pair_channels(self.real, perm, use, extra=True)
-            wf = waterfill(gains, w, self.budgets[0])
+            wf = waterfill_or_zero(gains, w, self.budgets[0])
             rate = wf.rate(gains, w)
             if best is None or rate > best[0]:
                 best = (rate, (use, wf.powers, c_s, c_r), wf.water_price)
-            self.scores((wf.water_price,), alpha)
+            # relay use does not depend on the pairing prices
+            self.scores((wf.water_price,), self.zero)
             nxt = self.use_relay[self.rows, perm]
             if np.array_equal(nxt, use):
                 break
@@ -74,12 +82,14 @@ class ExtraTotalProblem(DualProblem):
         return price
 
     def evaluate(self, scores, sel, alpha):
-        price = self.candidate(amend_pairing(scores, sel, alpha), alpha)
+        price = self.candidate(amend_pairing(scores, sel, alpha))
         self.bound = min(self.bound, self.dual_at((price,), alpha))
 
     def finish(self, prices, alpha):
-        zero = np.zeros(self.real.m)
-        self.reprice(prices[0], lambda perm: self.candidate(perm, zero))
+        rep = search(self)
+        return rep.primal_rate, rep.pairing, rep.allocation, rep.diagnostics
+
+    def result(self):
         _, perm, alloc = self.best
         return weighted_sum_rate(self.real, alloc, extra_allowed=True), perm, alloc, {}
 
@@ -87,7 +97,9 @@ class ExtraTotalProblem(DualProblem):
 def solve_extra_total(real: ChannelRealization, budget: float,
                       cfg: SolverConfig | None = None, seed: int = 0,
                       collect_trace: bool = False) -> SolveReport:
-    return solve(ExtraTotalProblem(real, budget), cfg, seed, collect_trace)
+    """The assignment-dual search on one shared budget.  ``seed`` is kept
+    for the common solver signature; the search draws nothing."""
+    return search(ExtraTotalProblem(real, budget), cfg, collect_trace)
 
 
 # -- individual budgets ------------------------------------------------------

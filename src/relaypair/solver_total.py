@@ -1,11 +1,14 @@
 """Joint pairing and power allocation under one shared power budget.
 
-The problem for the shared subgradient driver (``relaypair.dual``): one
-power price mu, and pair scores from ``kernels.total_scores``.  Each repair
-candidate water-fills the equivalent channels of its permutation, and the
-dual is re-evaluated at the exact water-filling price.  After the
-iteration, assignments at alpha = 0 re-price the power until the pairing
-repeats; each gives both a bound and a candidate.
+The problem for the dual drivers (``relaypair.dual``): one power price mu,
+and pair scores from ``kernels.total_scores``.  A candidate water-fills the
+equivalent channels of its permutation.  ``solve_total`` runs the
+assignment-dual search (``dual.search``): at each mu the max-weight
+assignment bounds the dual, and its permutation is the next candidate.
+The paper's subgradient method stays reachable as
+``dual.solve(TotalProblem(real, budget))``; its repair candidates re-
+evaluate the dual at their exact water price, and it ends with the same
+search.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_total
-from .dual import DualProblem, solve
+from .dual import DualProblem, search
 from .kernels import _buffers, _inv_gain, total_scores
 from .pairing import amend_pairing
 from .rates import weighted_sum_rate
 from .types import ChannelRealization, SolveReport, SolverConfig
-from .waterfill import waterfill
+from .waterfill import waterfill_or_zero
 
 
 class TotalProblem(DualProblem):
@@ -43,7 +46,7 @@ class TotalProblem(DualProblem):
         """Water-fill the permutation's channels; returns the water price."""
         relay = self.relay[self.rows, perm]
         gains, w, c_s, c_r = pair_channels(self.real, perm, relay)
-        wf = waterfill(gains, w, self.budgets[0])
+        wf = waterfill_or_zero(gains, w, self.budgets[0])
         self.keep(wf.rate(gains, w), perm, (relay, wf.powers, c_s, c_r), wf.water_price)
         return wf.water_price
 
@@ -52,7 +55,10 @@ class TotalProblem(DualProblem):
         self.bound = min(self.bound, self.dual_at((price,), alpha))
 
     def finish(self, prices, alpha):
-        self.reprice(prices[0] if self.best is None else self.best[3], self.candidate)
+        rep = search(self)
+        return rep.primal_rate, rep.pairing, rep.allocation, rep.diagnostics
+
+    def result(self):
         _, perm, powered, price = self.best
         alloc = channel_allocation(perm, *powered)
         return (weighted_sum_rate(self.real, alloc, extra_allowed=False), perm, alloc,
@@ -62,4 +68,6 @@ class TotalProblem(DualProblem):
 def solve_total(real: ChannelRealization, budget: float,
                 cfg: SolverConfig | None = None, seed: int = 0,
                 collect_trace: bool = False) -> SolveReport:
-    return solve(TotalProblem(real, budget), cfg, seed, collect_trace)
+    """The assignment-dual search on one shared budget.  ``seed`` is kept
+    for the common solver signature; the search draws nothing."""
+    return search(TotalProblem(real, budget), cfg, collect_trace)

@@ -134,8 +134,15 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits of the dual subgradient method.  Its step size,
-    stopping threshold, repair-span length and initial dual range are
+    """Iteration limits of the two dual drivers of ``relaypair.dual``.
+
+    The shared-budget solvers run the assignment-dual search
+    (``dual.search``) and the split-budget solvers the subgradient method
+    (``dual.solve``).  ``max_iter_hard`` caps both: the subgradient
+    iterations and the search's assignment evaluations.  ``min_iter`` is
+    read by the subgradient method only, as is the solvers' ``seed``
+    argument (its initial prices); the search draws nothing.  The step
+    size, stopping threshold, repair-span length and initial dual range are
     constants of ``relaypair.dual``."""
 
     max_iter_hard: int = 30000

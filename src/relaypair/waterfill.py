@@ -42,6 +42,15 @@ def waterfill(gains, weights, budget: float) -> WaterfillResult:
     return WaterfillResult(powers=powers, water_price=float(mu))
 
 
+def waterfill_or_zero(gains, weights, budget: float) -> WaterfillResult:
+    """``waterfill``, except that channels of which none has a positive
+    weighted gain get the zero allocation at water price 0: a pairing whose
+    channels carry no rate is a candidate of rate 0, not an error."""
+    if budget >= 0 and not (np.asarray(gains) * np.asarray(weights) > 0).any():
+        return WaterfillResult(powers=np.zeros(np.shape(gains)), water_price=0.0)
+    return waterfill(gains, weights, budget)
+
+
 def kkt_residual(gains, weights, budget: float, powers) -> float:
     """Max relative deviation of the active water levels plus budget mismatch."""
     gains = np.ascontiguousarray(gains, dtype=float)

@@ -37,6 +37,21 @@ def test_solve_individual_with_trace(instance_path, tmp_path, capsys):
     assert len(rows) > 1
 
 
+def test_solve_total_trace_has_a_row_per_assignment(instance_path, tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    rc = main(["solve", "--instance", instance_path, "--constraint", "total",
+               "--power", "5", "--trace", str(trace)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    iterations = int(next(line for line in out if line.startswith("iterations")).split()[1])
+    with open(trace, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "mu", "alpha_norm", "power_sum", "dual_value"]
+    assert len(rows) - 1 == iterations >= 1
+    # the search has no pairing prices
+    assert all(float(row[2]) == 0.0 for row in rows[1:])
+
+
 def test_solve_baseline(instance_path, capsys):
     rc = main(["solve", "--instance", instance_path, "--constraint", "total",
                "--power", "5", "--baseline", "scp"])

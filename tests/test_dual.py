@@ -1,17 +1,27 @@
-"""The subgradient driver shared by the four solvers: input without a
-channel that can carry rate, and the assignment re-pricing loop."""
+"""The two dual drivers: input without a channel that can carry rate, the
+assignment-dual search of the shared-budget problems against the
+subgradient method, and generated shared-budget instances against the
+brute-force optimum."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaypair.dual as dual
-from relaypair import (IndividualBudgets, assert_feasible, evaluate_baseline,
-                       solve_extra_individual, solve_extra_total,
-                       solve_individual, solve_total)
+from relaypair import (ChannelRealization, IndividualBudgets, assert_feasible,
+                       evaluate_baseline, exhaustive_extra_total,
+                       exhaustive_total, solve_extra_individual,
+                       solve_extra_total, solve_individual, solve_total,
+                       validate_allocation)
+from relaypair.solver_extra import ExtraTotalProblem
+from relaypair.solver_total import TotalProblem
+from relaypair.types import SolverConfig
 
 from conftest import manual_real, random_real
 
 SPLIT = IndividualBudgets(4.0, 1.0)
+CALLS_WHEN_ALTERNATING = 40
 
 
 @pytest.mark.parametrize("solver, budget, extra", [
@@ -46,9 +56,10 @@ def test_zero_weighted_gain_keeps_a_fixed_pairing():
     assert rep.primal_rate == 0.0
 
 
-def test_reprice_stops_at_a_pairing_seen_before(monkeypatch):
-    # two equally good assignments returned in turn would otherwise be
-    # re-evaluated until the round cap
+def test_search_bisects_when_pairings_alternate(monkeypatch):
+    # two assignments returned in turn, whatever the price: each one's water
+    # price is already an end of the bracket after it has been tried once,
+    # so the search bisects the bracket until it is 1e-12 wide
     turns = [np.array([1, 0, 3, 2]), np.array([0, 1, 2, 3])]
     calls = []
 
@@ -58,6 +69,87 @@ def test_reprice_stops_at_a_pairing_seen_before(monkeypatch):
 
     monkeypatch.setattr(dual, "linear_sum_assignment", spy)
     real = random_real(4, seed=5)
-    rep = solve_total(real, 5.0, seed=5)
-    assert len(calls) == 3
+    rep = solve_total(real, 5.0)
+    assert len(calls) == rep.iterations == CALLS_WHEN_ALTERNATING
+    assert rep.converged
     assert_feasible(real, rep.allocation, total_budget=5.0)
+
+
+def test_silent_pattern_is_a_zero_rate_candidate():
+    # at a price where the relay gets no power, relay use ties with the dead
+    # direct link; that pattern must count as rate 0, not as an error
+    real = manual_real([0.0], [2.0], [2.0])
+    for budget in (1e-3, 5.0):
+        for solver in (solve_total, solve_extra_total):
+            rep = solver(real, budget)
+            # one relay channel of equivalent gain 1
+            assert rep.primal_rate == pytest.approx(0.5 * np.log1p(budget), rel=1e-12)
+            assert rep.dual_value >= rep.primal_rate - 1e-9
+            assert_feasible(real, rep.allocation, total_budget=budget,
+                            extra_allowed=solver is solve_extra_total)
+
+
+PROFILES = {"3/1/3": dict(sr=3.0, sd=1.0, rd=3.0),
+            "5/1/1": dict(sr=5.0, sd=1.0, rd=1.0),
+            "1/1/5": dict(sr=1.0, sd=1.0, rd=5.0)}
+
+
+@pytest.mark.parametrize("problem", [TotalProblem, ExtraTotalProblem])
+def test_search_never_loses_to_the_subgradient_method(problem):
+    for name, stats in PROFILES.items():
+        for m in (8, 16):
+            for t in range(3):
+                real = random_real(m, seed=4000 + 10 * m + t, **stats)
+                found = dual.search(problem(real, 5.0))
+                iterated = dual.solve(problem(real, 5.0), seed=t)
+                assert found.converged
+                assert found.primal_rate >= iterated.primal_rate * (1.0 - 1e-12), (name, m, t)
+                assert found.dual_value >= found.primal_rate - 1e-9
+
+
+_gain = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+_budget = st.one_of(st.just(0.0), st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+
+
+def _share(m, tenths):
+    """m flags, each set with probability tenths / 10."""
+    return st.lists(st.integers(0, 9).map(lambda d: d < tenths), min_size=m, max_size=m)
+
+
+@st.composite
+def _shared_inputs(draw):
+    m = draw(st.integers(1, 6))
+    vec = st.lists(_gain, min_size=m, max_size=m)
+    a_sd = np.array(draw(vec))
+    a_sd[np.array(draw(_share(m, 3)))] = 0.0
+    a_sr = np.array(draw(vec))
+    a_rd = a_sr.copy() if draw(st.booleans()) else np.array(draw(vec))
+    w = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
+    w[np.array(draw(_share(m, 1)))] = 0.0
+    real = ChannelRealization(m=m, a_sd=a_sd, a_sr=a_sr, a_rd=a_rd, w=w)
+    return real, draw(_budget)
+
+
+def _check_shared(real, budget, solver, extra, optimum):
+    cfg = SolverConfig()
+    rep = solver(real, budget, cfg=cfg)
+    assert validate_allocation(real, rep.allocation, total_budget=budget,
+                               extra_allowed=extra) == []
+    assert rep.dual_value >= optimum - 1e-9 * max(1.0, optimum)
+    assert rep.iterations <= cfg.max_iter_hard
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_inputs())
+def test_solve_total_on_generated_input(inputs):
+    real, budget = inputs
+    _check_shared(real, budget, solve_total, False, exhaustive_total(real, budget)[0])
+
+
+# the extra-direct oracle water-fills up to 6! * 2^6 candidates per example
+@settings(max_examples=40, deadline=None)
+@given(_shared_inputs())
+def test_solve_extra_total_on_generated_input(inputs):
+    real, budget = inputs
+    _check_shared(real, budget, solve_extra_total, True,
+                  exhaustive_extra_total(real, budget)[0])
