@@ -5,7 +5,9 @@ Sorted channel pairing (SCP) ranks first-slot subcarriers by w_k * a_sr_k
 a_rd_m, both descending, and pairs equal ranks.  The second-slot key is
 never weighted since the pairing is not known in advance.  Given the fixed
 pairing, mode selection and power allocation follow the same rules as the
-corresponding solver so the comparison isolates the pairing quality.
+corresponding solver so the comparison isolates the pairing quality: one
+candidate of the shared-budget problem, the split-budget refinement, or the
+extra-direct split-budget solver with the pairing held fixed.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import enum
 
 import numpy as np
 
-from .channel import channel_allocation, pair_channels, relay_mask_total
 from .pairing import scp_pairing
 from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
-from .solver_extra import solve_extra_individual
+from .solver_extra import ExtraTotalProblem, solve_extra_individual
+from .solver_total import TotalProblem
 from .types import (ChannelRealization, IndividualBudgets, SolveReport,
                     SolverConfig, check_permutation)
-from .waterfill import waterfill
 
 
 class BaselineKind(enum.Enum):
@@ -48,14 +49,12 @@ def evaluate_baseline(real: ChannelRealization, pairing: np.ndarray, *,
         raise ValueError("exactly one of total_budget and budgets is required")
 
     if total_budget is not None:
-        relay = relay_mask_total(real)[np.arange(real.m), perm]
-        gains, w, c_s, c_r = pair_channels(real, perm, relay, extra=extra_direct)
-        wf = waterfill(gains, w, total_budget)
-        alloc = channel_allocation(perm, relay, wf.powers, c_s, c_r)
-        rate = weighted_sum_rate(real, alloc, extra_allowed=extra_direct)
+        problem = (ExtraTotalProblem if extra_direct else TotalProblem)(real, total_budget)
+        problem.candidate(perm)
+        rate, _, alloc, diag = problem.result()
         return SolveReport(pairing=perm, allocation=alloc, primal_rate=rate,
                            dual_value=np.nan, iterations=0, trigger_iter=0,
-                           diagnostics={"water_price": wf.water_price})
+                           diagnostics=diag)
 
     if extra_direct:
         return solve_extra_individual(real, budgets, cfg=cfg, seed=seed,

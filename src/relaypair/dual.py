@@ -12,8 +12,9 @@ budget problems.  At fixed prices every first-slot subcarrier picks its
 best-scoring partner, which gives the dual function, and the prices take a
 subgradient step of length _STEP_SCALE / sqrt(i).  ``iterate`` runs its two
 phases: phase 1 stops once every price moves by less than _EPS_CONVERGE
-(relative) on three iterations in a row, after at least ``min_iter`` of
-them, or at the hard cap.  The repair span then runs _EXTRA_ITER_FRAC more
+relative to the largest one (so a price pinned near 0 settles too) on
+three iterations in a row, after at least ``min_iter`` of them, or at the
+hard cap.  The repair span then runs _EXTRA_ITER_FRAC more
 iterations and hands each iteration's scores and column choice to the
 problem, which repairs them into a feasible candidate.  ``solve`` draws the
 initial prices from its seed, runs ``iterate``, lets the problem add its
@@ -47,7 +48,7 @@ from .kernels import MU_FLOOR
 from .pairing import scp_pairing
 from .types import Allocation, ChannelRealization, SolveReport, SolverConfig
 
-_EPS_CONVERGE = 0.01      # relative price step that counts as settled
+_EPS_CONVERGE = 0.01      # price step, relative to the largest price, that counts as settled
 _EXTRA_ITER_FRAC = 0.10   # repair span, as a fraction of the phase-1 length
 _STEP_SCALE = 0.05        # step length at iteration i: _STEP_SCALE / sqrt(i)
 _DUAL_INIT_LOW = 0.0      # initial prices are uniform in [low, high]
@@ -114,10 +115,6 @@ def _dual(row_sum, prices, budgets, alpha_sum):
     return row_sum + alpha_sum
 
 
-def _relative_step(new, old):
-    return abs(new - old) / max(abs(new), MU_FLOOR)
-
-
 def _alpha_step(alpha, counts, step):
     """Subgradient step on the pairing prices (in place); returns the step
     length relative to the new prices."""
@@ -161,7 +158,8 @@ def iterate(problem: DualProblem, prices, alpha: np.ndarray,
             alpha, np.bincount(sel, minlength=m), step)
         if trigger is None:
             ok = (al_rel < _EPS_CONVERGE
-                  and max(map(_relative_step, new, prices)) < _EPS_CONVERGE)
+                  and max(abs(n - p) for n, p in zip(new, prices))
+                  / max(max(new), MU_FLOOR) < _EPS_CONVERGE)
             consec = consec + 1 if ok else 0
             if consec >= 3 and i >= cfg.min_iter:
                 trigger = i

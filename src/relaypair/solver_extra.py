@@ -9,7 +9,8 @@ against staying direct moves into the scores themselves).
 Both are problems for the dual drivers (``relaypair.dual``).
 ``solve_extra_total`` runs the assignment-dual search (``dual.search``) on
 its one shared budget, and ``solve_extra_individual`` the subgradient
-driver (``dual.solve``) on the split budgets.  A candidate fixes its
+driver (``dual.solve``) on the split budgets, through the candidate
+pipeline of ``solver_individual.SplitProblem``.  A candidate fixes its
 pairing and relay-use pattern, which fixes its channel list
 (``channel.pair_channels``: entry k is pair k's relay or first-slot
 channel, entry M + k its second slot, dead where pair k relays), allocates
@@ -24,10 +25,11 @@ import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_extra
 from .dual import DualProblem, search, solve
-from .kernels import MU_FLOOR, _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
-from .pairing import amend_pairing, scp_pairing
+from .kernels import _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
+from .pairing import amend_pairing
 from .rates import weighted_sum_rate
 from .refine import split_solve, zero_crossing_refine
+from .solver_individual import SplitProblem
 from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverConfig
 from .waterfill import waterfill_or_zero
 
@@ -119,18 +121,14 @@ def extra_individual_allocate(real: ChannelRealization, perm: np.ndarray,
     return alloc, rate, diag["ratio"], (diag["mu_s"], diag["mu_r"])
 
 
-class ExtraIndividualProblem(DualProblem):
-    price_names = ("mu_s", "mu_r")
+class ExtraIndividualProblem(SplitProblem):
+    """A candidate starts from its relay use at the prices its pairing
+    came from."""
 
     def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
                  warm_pairing=None, fixed_pairing=None):
-        super().__init__(real, (budgets.p_source, budgets.p_relay))
-        self.split = budgets
-        self.warm = None if warm_pairing is None else np.asarray(warm_pairing, dtype=np.int64)
-        if fixed_pairing is not None:
-            self.fixed = np.asarray(fixed_pairing, dtype=np.int64)
+        super().__init__(real, budgets, warm_pairing, fixed_pairing)
         self.out = _mode_buffers(real.m, 6)
-        self.seen: set[bytes] = set()
 
     def scores(self, prices, alpha):
         real = self.real
@@ -145,54 +143,30 @@ class ExtraIndividualProblem(DualProblem):
         return (self.c_s[rows, sel][relay] @ p_rel + (self.p2 + self.p2[sel])[~relay].sum(),
                 self.c_r[rows, sel][relay] @ p_rel)
 
-    def consider(self, perm, use_relay):
-        key = perm.tobytes() + use_relay.tobytes()
-        if key in self.seen:
-            return
-        self.seen.add(key)
+    def start(self, perm):
+        return self.use_relay[self.rows, perm]
+
+    def allocate(self, perm, use):
         real = self.real
-        use = use_relay.copy()
-        alloc = rate = ratio = None
-        # re-decide relay use at the prices the allocation itself implies,
-        # until the pattern stops changing
+        best = None
         for _ in range(5):
-            cand, cand_rate, cand_ratio, (ms, mr) = extra_individual_allocate(
-                real, perm, use, self.split)
-            if rate is None or cand_rate > rate:
-                alloc, rate, ratio = cand, cand_rate, cand_ratio
-            if not (np.isfinite(ms) and np.isfinite(mr)):
+            alloc, rate, ratio, prices = extra_individual_allocate(real, perm, use, self.split)
+            if best is None or rate > best[0]:
+                best = (rate, alloc, prices, {"ratio": ratio})
+            if not np.isfinite(prices).all():
                 break
-            self.scores((max(ms, MU_FLOOR), max(mr, MU_FLOOR)), np.zeros(real.m))
-            nxt = self.use_relay[self.rows, perm]
+            self.scores(prices, np.zeros(real.m))
+            nxt = self.start(perm)
             if np.array_equal(nxt, use):
                 break
             use = nxt
         # an allocation with empty second slots is always admissible here,
         # so a plain no-extra refinement can only help as a fallback
-        alt, _ = zero_crossing_refine(real, perm, *self.budgets)
+        alt, diag = zero_crossing_refine(real, perm, *self.budgets)
         alt_rate = weighted_sum_rate(real, alt, extra_allowed=True)
-        if alt_rate > rate:
-            alloc, rate = alt, alt_rate
-        self.keep(rate, perm, alloc, ratio)
-
-    def evaluate(self, scores, sel, alpha):
-        perm = amend_pairing(scores, sel, alpha)
-        self.consider(perm, self.use_relay[self.rows, perm])
-
-    def finish(self, prices, alpha):
-        rows = self.rows
-        self.scores(prices, alpha)
-        use = self.use_relay.copy()
-        perms = [] if self.fixed is not None else [scp_pairing(self.real), rows.copy()]
-        if self.warm is not None:
-            perms.append(self.warm)
-        for perm in perms:
-            self.consider(perm, use[rows, perm])
-        if self.best is None:
-            perm = rows.copy() if self.fixed is None else self.fixed
-            self.consider(perm, use[rows, perm])
-        rate, perm, alloc, ratio = self.best
-        return rate, perm, alloc, {"ratio": ratio}
+        if alt_rate > best[0]:
+            best = (alt_rate, alt, (diag["mu_s"], diag["mu_r"]), {"ratio": diag["ratio"]})
+        return best
 
 
 def solve_extra_individual(real: ChannelRealization, budgets: IndividualBudgets,

@@ -1,12 +1,11 @@
 """Joint pairing and power allocation under separate source and relay budgets.
 
-The problem for the shared subgradient driver (``relaypair.dual``): two
-power prices (mu_s, mu_r).  A pair's mode depends on the price ratio: the
-relay branch applies when a_rd >= a_sd * mu_r/mu_s, and pair power is
-priced at c_s mu_s + c_r mu_r.  Each repair candidate is re-solved exactly
-by the zero-crossing refinement, which pins the source budget and locates
-the price ratio where the relay budget binds; the assignment at the
-refined prices bounds the dual and is itself a candidate.
+The problems for the shared subgradient driver (``relaypair.dual``): two
+power prices (mu_s, mu_r).  ``SplitProblem`` is the candidate pipeline of
+both split-budget problems; ``IndividualProblem`` allocates a candidate by
+the zero-crossing refinement, which pins the source budget and locates the
+price ratio where the relay budget binds.  A pair relays when a_rd >= a_sd
+* mu_r/mu_s, and its power is priced at c_s mu_s + c_r mu_r.
 """
 
 from __future__ import annotations
@@ -22,15 +21,78 @@ from .refine import zero_crossing_refine
 from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverConfig
 
 
-class IndividualProblem(DualProblem):
+class SplitProblem(DualProblem):
+    """The candidate pipeline of a split-budget problem.
+
+    A candidate (a pairing, plus ``start(perm)``: what its allocation starts
+    from, read at the prices of the last ``scores`` call) is allocated by
+    ``allocate(perm, start)``, which returns (rate, allocation, (mu_s, mu_r),
+    diagnostics).  The assignment at those prices bounds the dual, and its
+    permutation is queued.  ``finish`` adds the rank-matched, identity and
+    warm pairings, drains the queue (at most 3M candidates), and ends with a
+    Nelder-Mead descent on the assignment dual, convex in the two prices.
+    With a pairing held fixed, only that pairing is allocated.
+    """
+
     price_names = ("mu_s", "mu_r")
 
-    def __init__(self, real: ChannelRealization, budgets: IndividualBudgets):
+    def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
+                 warm_pairing=None, fixed_pairing=None):
         super().__init__(real, (budgets.p_source, budgets.p_relay))
+        self.split = budgets
+        if fixed_pairing is None:
+            warm = [] if warm_pairing is None else [np.asarray(warm_pairing, dtype=np.int64)]
+            self.finals = [scp_pairing(real), self.rows.copy(), *warm]
+        else:
+            self.fixed = np.asarray(fixed_pairing, dtype=np.int64)
+            self.finals = [self.fixed]
+        self.seen: set[bytes] = set()
+        self.pending: list[tuple] = []
+
+    def start(self, perm):
+        return perm[:0]
+
+    def consider(self, perm, start):
+        key = perm.tobytes() + start.tobytes()
+        if key in self.seen:
+            return
+        self.seen.add(key)
+        rate, alloc, prices, diag = self.allocate(perm, start)
+        if self.fixed is None and np.isfinite(prices).all():
+            nxt = self.assign(prices)[1]
+            self.pending.append((nxt, self.start(nxt)))
+        self.keep(rate, perm, alloc, prices, diag)
+
+    def evaluate(self, scores, sel, alpha):
+        perm = amend_pairing(scores, sel, alpha)
+        self.consider(perm, self.start(perm))
+
+    def finish(self, prices, alpha):
+        finals = self.finals if self.fixed is None or self.best is None else []
+        self.scores(prices, alpha)   # every start is read here, before any re-scoring
+        for perm, start in [(perm, self.start(perm)) for perm in finals]:
+            self.consider(perm, start)
+        # each refined candidate's prices give an assignment permutation,
+        # itself worth allocating (capped so that it cannot chain forever)
+        for _ in range(3 * self.real.m):
+            if not self.pending:
+                break
+            self.consider(*self.pending.pop())
+
+        rate, perm, alloc, best_prices, diag = self.best
+        if self.fixed is None and np.isfinite(best_prices).all():
+            minimize(lambda x: self.assign((abs(x[0]), abs(x[1])))[0],
+                     np.maximum(best_prices, 1e-6), method="Nelder-Mead",
+                     options={"maxfev": 120, "xatol": 1e-6, "fatol": 1e-12})
+        return rate, perm, alloc, diag
+
+
+class IndividualProblem(SplitProblem):
+
+    def __init__(self, real: ChannelRealization, budgets: IndividualBudgets):
+        super().__init__(real, budgets)
         self.tables = _buffers(real.m, 3)
         self.out = _buffers(real.m, 3)
-        self.seen: set[bytes] = set()
-        self.pending: list[np.ndarray] = []
 
     def scores(self, prices, alpha):
         real = self.real
@@ -45,44 +107,10 @@ class IndividualProblem(DualProblem):
         p_sel = self.powers[self.rows, sel]
         return self.c_s[self.rows, sel] @ p_sel, self.c_r[self.rows, sel] @ p_sel
 
-    def consider(self, perm):
-        key = perm.tobytes()
-        if key in self.seen:
-            return
-        self.seen.add(key)
+    def allocate(self, perm, start):
         alloc, diag = zero_crossing_refine(self.real, perm, *self.budgets)
-        ms, mr = diag.get("mu_s", np.inf), diag.get("mu_r", 0.0)
-        if np.isfinite(ms) and np.isfinite(mr):
-            self.pending.append(self.assign((ms, mr))[1])
-        self.keep(weighted_sum_rate(self.real, alloc, extra_allowed=False),
-                  perm, alloc, diag)
-
-    def evaluate(self, scores, sel, alpha):
-        self.consider(amend_pairing(scores, sel, alpha))
-
-    def finish(self, prices, alpha):
-        # cheap extra candidates: rank-matched pairing and the identity
-        self.consider(scp_pairing(self.real))
-        self.consider(self.rows.copy())
-        # each refined candidate reports prices; the assignment permutation
-        # that minimizes the dual at those prices is itself worth refining
-        # (capped so a pathological instance cannot chain forever)
-        budget_left = 3 * self.real.m
-        while self.pending and budget_left > 0:
-            budget_left -= 1
-            self.consider(self.pending.pop())
-
-        # the assignment dual is convex in the two power prices, so a short
-        # derivative-free descent from the best candidate's prices tightens
-        # the reported bound further
-        rate, perm, alloc, diag = self.best
-        ms0, mr0 = diag.get("mu_s", np.inf), diag.get("mu_r", 0.0)
-        if np.isfinite(ms0) and np.isfinite(mr0):
-            minimize(lambda x: self.assign((abs(x[0]), abs(x[1])))[0],
-                     np.array([max(ms0, 1e-6), max(mr0, 1e-6)]),
-                     method="Nelder-Mead",
-                     options={"maxfev": 120, "xatol": 1e-6, "fatol": 1e-12})
-        return rate, perm, alloc, {"refine": diag}
+        return (weighted_sum_rate(self.real, alloc, extra_allowed=False), alloc,
+                (diag["mu_s"], diag["mu_r"]), {"refine": diag})
 
 
 def solve_individual(real: ChannelRealization, budgets: IndividualBudgets,

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine release criteria, one summary line each.
+"""Acceptance gate: ten release criteria, one summary line each.
 
 Run with ``pytest -v tests/test_acceptance.py`` to see per-criterion
 pass/fail; each test also prints its measured statistic.
@@ -18,9 +18,11 @@ import pytest
 
 from relaypair import (IndividualBudgets, RicianConfig, evaluate_baseline,
                        exhaustive_extra_total, exhaustive_individual,
-                       exhaustive_total, kkt_residual, sample_realization,
-                       scp_pairing, solve_extra_total, solve_individual,
-                       solve_total, validate_allocation, waterfill)
+                       exhaustive_total, kkt_residual,
+                       reference_extra_individual, sample_realization,
+                       scp_pairing, solve_extra_individual, solve_extra_total,
+                       solve_individual, solve_total, validate_allocation,
+                       waterfill)
 from relaypair.channel import pair_tables, relay_mask_total
 from relaypair.dual import iterate
 from relaypair.experiments import trial_seed
@@ -277,3 +279,41 @@ def test_criterion_9_scale_smoke():
             f"per-iteration cost ratio M=512/M=256 = {ratio:.2f} (in [3, 6], "
             "consistent with quadratic per-iteration scaling; below M=256 "
             "fixed per-iteration overhead hides the M^2 term)")
+
+
+def test_criterion_10_extra_individual_certificate():
+    # the fourth problem (split budgets, extra-direct reuse), warm-started as
+    # in experiments: feasible, above the reference value where M <= 4, and
+    # certified by its dual bound.  Measured on these draws: median relative
+    # gap 2.4e-13 / 7.5e-14, largest 3.0e-3 / 4.0e-4, 3 / 0 of 30 above
+    # 1e-3 at M=8/16; the gates leave a margin of 2x or more on each
+    trials = 30
+    profiles = [dict(sr=3.0, sd=1.0, rd=3.0), dict(sr=5.0, sd=1.0, rd=1.0),
+                dict(sr=1.0, sd=1.0, rd=5.0)]
+    gaps = {}
+    for m in (4, 8, 16):
+        rel = []
+        for t in range(trials):
+            real = _draw("c10", m, t, **profiles[t % 3])
+            warm = solve_individual(real, BUD, seed=t)
+            rep = solve_extra_individual(real, BUD, seed=t, warm_pairing=warm.pairing)
+            assert validate_allocation(real, rep.allocation, budgets=BUD,
+                                       extra_allowed=True) == []
+            assert rep.gap >= -1e-9, f"weak duality broken: {rep.gap}"
+            if m <= 4:
+                ref, _, _ = reference_extra_individual(real, BUD)
+                assert rep.dual_value >= ref - 1e-9 * max(1.0, ref)
+            rel.append(rep.gap / max(rep.primal_rate, 1e-12))
+        gaps[m] = np.array(rel)
+    for m in (8, 16):
+        assert np.median(gaps[m]) <= 1e-9, f"median gap at M={m}: {np.median(gaps[m]):.2e}"
+        assert gaps[m].max() <= 1e-2, f"largest gap at M={m}: {gaps[m].max():.2e}"
+    over = {m: int((gaps[m] > 1e-3).sum()) for m in (8, 16)}
+    assert over[8] <= 6, f"{over[8]}/{trials} gaps above 1e-3 at M=8"
+    assert over[16] <= over[8], "gaps above 1e-3 not trending down"
+    _report("criterion 10", "extra-direct split-budget solves feasible, dual >= "
+            "reference value at M=4; median relative gap "
+            f"{np.median(gaps[8]):.1e} / {np.median(gaps[16]):.1e} (<=1e-9), "
+            f"largest {gaps[8].max():.1e} / {gaps[16].max():.1e} (<=1e-2), "
+            f"{over[8]} / {over[16]} of {trials} above 1e-3 (<=6, nonincreasing) "
+            "at M=8/16")

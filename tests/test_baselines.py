@@ -73,3 +73,30 @@ def test_solver_beats_baselines_on_average():
         diffs_fix.append(scp.primal_rate - fix.primal_rate)
     assert np.mean(diffs_scp) >= -1e-9
     assert np.mean(diffs_fix) >= 0.0
+
+
+def test_shared_budget_baseline_reuses_idle_second_slots():
+    # the relay helps without reuse (equivalent gain 1.125 > a_sd = 1), but
+    # with reuse two direct slots of gain 1 per pair beat one relay channel
+    from relaypair import PairMode, assert_feasible
+    real = manual_real([1.0, 1.0], [1.5, 1.5], [1.5, 1.5])
+    plain = evaluate_baseline(real, np.arange(2), total_budget=5.0)
+    assert np.all(plain.allocation.modes == PairMode.RELAY)
+    reuse = evaluate_baseline(real, np.arange(2), total_budget=5.0, extra_direct=True)
+    assert_feasible(real, reuse.allocation, total_budget=5.0, extra_allowed=True)
+    assert np.all(reuse.allocation.modes == PairMode.DIRECT)
+    # four equal single-slot channels share the budget evenly
+    assert reuse.primal_rate == pytest.approx(2.0 * np.log1p(5.0 / 4.0), rel=1e-12)
+    assert reuse.primal_rate > plain.primal_rate
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_shared_budget_baseline_on_zero_weights(extra):
+    from relaypair import assert_feasible
+    real = manual_real([1.0] * 3, [2.0] * 3, [2.0] * 3, w=np.zeros(3))
+    perm = np.array([1, 2, 0])
+    rep = evaluate_baseline(real, perm, total_budget=5.0, extra_direct=extra)
+    assert rep.primal_rate == 0.0
+    assert np.array_equal(rep.pairing, perm)
+    assert rep.allocation.total_power() == 0.0
+    assert_feasible(real, rep.allocation, total_budget=5.0, extra_allowed=extra)

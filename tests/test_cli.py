@@ -130,3 +130,15 @@ def test_solve_zero_weighted_gain(tmp_path, capsys):
             out = capsys.readouterr().out.splitlines()
             assert out[0] == "rate 0.000000000 nat"
             assert out[1] == "dual 0.000000000 nat"
+
+
+def test_baseline_zero_weighted_gain(tmp_path, capsys):
+    path = tmp_path / "silent.csv"
+    real = random_real(4, seed=71)
+    write_instance(path, type(real)(m=4, a_sd=real.a_sd, a_sr=real.a_sr,
+                                    a_rd=real.a_rd, w=np.zeros(4)))
+    for extra in ([], ["--extra-direct"]):
+        rc = main(["solve", "--instance", str(path), "--constraint", "total",
+                   "--power", "5", "--baseline", "scp", *extra])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "rate 0.000000000 nat"

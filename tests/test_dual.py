@@ -1,7 +1,8 @@
 """The two dual drivers: input without a channel that can carry rate, the
 assignment-dual search of the shared-budget problems against the
-subgradient method, and generated shared-budget instances against the
-brute-force optimum."""
+subgradient method, and generated instances of all four problems against
+the brute-force optimum (the reference value with extra-direct reuse under
+split budgets)."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import relaypair.dual as dual
 from relaypair import (ChannelRealization, IndividualBudgets, assert_feasible,
                        evaluate_baseline, exhaustive_extra_total,
-                       exhaustive_total, solve_extra_individual,
+                       exhaustive_individual, exhaustive_total,
+                       reference_extra_individual, solve_extra_individual,
                        solve_extra_total, solve_individual, solve_total,
                        validate_allocation)
 from relaypair.solver_extra import ExtraTotalProblem
@@ -117,8 +119,8 @@ def _share(m, tenths):
 
 
 @st.composite
-def _shared_inputs(draw):
-    m = draw(st.integers(1, 6))
+def _realizations(draw, max_m):
+    m = draw(st.integers(1, max_m))
     vec = st.lists(_gain, min_size=m, max_size=m)
     a_sd = np.array(draw(vec))
     a_sd[np.array(draw(_share(m, 3)))] = 0.0
@@ -126,30 +128,51 @@ def _shared_inputs(draw):
     a_rd = a_sr.copy() if draw(st.booleans()) else np.array(draw(vec))
     w = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
     w[np.array(draw(_share(m, 1)))] = 0.0
-    real = ChannelRealization(m=m, a_sd=a_sd, a_sr=a_sr, a_rd=a_rd, w=w)
-    return real, draw(_budget)
+    return ChannelRealization(m=m, a_sd=a_sd, a_sr=a_sr, a_rd=a_rd, w=w)
 
 
-def _check_shared(real, budget, solver, extra, optimum):
-    cfg = SolverConfig()
-    rep = solver(real, budget, cfg=cfg)
-    assert validate_allocation(real, rep.allocation, total_budget=budget,
-                               extra_allowed=extra) == []
+def _check(real, rep, cfg, optimum, extra, **limits):
+    assert validate_allocation(real, rep.allocation, extra_allowed=extra, **limits) == []
     assert rep.dual_value >= optimum - 1e-9 * max(1.0, optimum)
     assert rep.iterations <= cfg.max_iter_hard
 
 
+def _check_shared(real, budget, solver, extra, optimum):
+    cfg = SolverConfig()
+    _check(real, solver(real, budget, cfg=cfg), cfg, optimum, extra, total_budget=budget)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_shared_inputs())
-def test_solve_total_on_generated_input(inputs):
-    real, budget = inputs
+@given(_realizations(6), _budget)
+def test_solve_total_on_generated_input(real, budget):
     _check_shared(real, budget, solve_total, False, exhaustive_total(real, budget)[0])
 
 
 # the extra-direct oracle water-fills up to 6! * 2^6 candidates per example
 @settings(max_examples=40, deadline=None)
-@given(_shared_inputs())
-def test_solve_extra_total_on_generated_input(inputs):
-    real, budget = inputs
+@given(_realizations(6), _budget)
+def test_solve_extra_total_on_generated_input(real, budget):
     _check_shared(real, budget, solve_extra_total, True,
                   exhaustive_extra_total(real, budget)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_realizations(4), _budget, _budget)
+def test_solve_individual_on_generated_input(real, p_source, p_relay):
+    budgets = IndividualBudgets(p_source, p_relay)
+    cfg = SolverConfig()
+    _check(real, solve_individual(real, budgets, cfg=cfg), cfg,
+           exhaustive_individual(real, budgets)[0], False, budgets=budgets)
+
+
+# the reference allocates up to 4! * 2^4 candidates per example
+@settings(max_examples=50, deadline=None)
+@given(_realizations(4), _budget, _budget)
+def test_solve_extra_individual_on_generated_input(real, p_source, p_relay):
+    # the reference rate is that of a feasible allocation, so the bound
+    # must reach it
+    budgets = IndividualBudgets(p_source, p_relay)
+    cfg = SolverConfig()
+    warm = solve_individual(real, budgets, cfg=cfg).pairing
+    _check(real, solve_extra_individual(real, budgets, cfg=cfg, warm_pairing=warm), cfg,
+           reference_extra_individual(real, budgets)[0], True, budgets=budgets)

@@ -92,3 +92,19 @@ def test_deterministic_given_seed():
     b = solve_individual(real, BUD, seed=9)
     assert a.primal_rate == b.primal_rate
     assert np.array_equal(a.pairing, b.pairing)
+
+
+def test_relay_price_pinned_near_zero_settles():
+    # the relay budget is slack at the optimum, so mu_r sits near 0 and
+    # steps by about its own size; measured against the largest price it
+    # settles, and phase 1 stops long before the 30000-iteration cap
+    from relaypair import RicianConfig, WeightRule, sample_realization, trial_seed
+    seed = trial_seed(2010, "extra-individual", 4, 5)
+    cfg = RicianConfig(k_factor=1.0, mean_sq_sr=3.0, mean_sq_sd=1.0, mean_sq_rd=3.0,
+                       noise_var=1.0, m=4, weight_rule=WeightRule.LINEAR_RAMP)
+    real = sample_realization(cfg, seed)
+    rep = solve_individual(real, BUD, seed=seed)
+    assert rep.converged
+    assert rep.iterations < 1000
+    assert rep.diagnostics["refine"]["case"] == "relay_slack"
+    assert rep.gap <= 1e-9 * rep.primal_rate
