@@ -17,13 +17,9 @@ from . import __version__
 from .baselines import BaselineKind, baseline_pairing, evaluate_baseline
 from .channel import read_instance
 from .errors import RelayPairError
-from .experiments import parse_scenario_file, run_scenario, write_results
-from .oracle import (exhaustive_extra_total, exhaustive_individual,
-                     exhaustive_total, reference_extra_individual)
+from .experiments import (parse_scenario_file, run_scenario, solve_oracle,
+                          solve_proposed, write_results)
 from .rates import nats_to_bits
-from .solver_extra import solve_extra_individual, solve_extra_total
-from .solver_individual import solve_individual
-from .solver_total import solve_total
 from .types import IndividualBudgets
 from .validate import assert_feasible
 
@@ -61,17 +57,10 @@ def cmd_solve(args) -> int:
         rep = evaluate_baseline(real, pairing, total_budget=total,
                                 budgets=budgets, extra_direct=args.extra_direct,
                                 seed=args.seed)
-    elif total is not None:
-        fn = solve_extra_total if args.extra_direct else solve_total
-        rep = fn(real, total, seed=args.seed, collect_trace=bool(args.trace))
-    elif args.extra_direct:
-        warm = solve_individual(real, budgets, seed=args.seed)
-        rep = solve_extra_individual(real, budgets, seed=args.seed,
-                                     warm_pairing=warm.pairing,
-                                     collect_trace=bool(args.trace))
     else:
-        rep = solve_individual(real, budgets, seed=args.seed,
-                               collect_trace=bool(args.trace))
+        rep = solve_proposed(real, total_budget=total, budgets=budgets,
+                             extra_direct=args.extra_direct, seed=args.seed,
+                             collect_trace=bool(args.trace))
     assert_feasible(real, rep.allocation, total_budget=total, budgets=budgets,
                     extra_allowed=args.extra_direct)
 
@@ -102,17 +91,8 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     real = read_instance(args.instance)
     total, budgets = _budgets_from(args)
-    if total is not None:
-        if args.extra_direct:
-            rate, pairing, s = exhaustive_extra_total(real, total)
-        else:
-            rate, pairing = exhaustive_total(real, total)
-            s = None
-    elif args.extra_direct:
-        rate, pairing, s = reference_extra_individual(real, budgets)
-    else:
-        rate, pairing = exhaustive_individual(real, budgets)
-        s = None
+    rate, pairing, s = solve_oracle(real, total_budget=total, budgets=budgets,
+                                    extra_direct=args.extra_direct)
     print(f"rate {_rate_str(rate, args.bits)}")
     print("pairing " + " ".join(f"{k + 1}->{m + 1}"
                                 for k, m in enumerate(pairing)))

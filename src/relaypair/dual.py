@@ -54,6 +54,7 @@ _STEP_SCALE = 0.05        # step length at iteration i: _STEP_SCALE / sqrt(i)
 _DUAL_INIT_LOW = 0.0      # initial prices are uniform in [low, high]
 _DUAL_INIT_HIGH = 2.0
 _BRACKET_TOL = 1e-12      # relative bracket width at which ``search`` stops
+_SETTLE_ROUNDS = 5        # allocations per candidate while its relay use changes
 
 
 class DualProblem:
@@ -70,10 +71,11 @@ class DualProblem:
     - ``finish(prices, alpha)``: the last candidates; returns (rate,
       pairing, allocation, diagnostics) of the best one.
 
-    A shared-budget problem, which ``search`` drives, also implements
-    ``candidate(perm)``: water-fill the permutation, keep it if it is the
-    best so far, and return its water price; and ``result()``: (rate,
-    pairing, allocation, diagnostics) of the best candidate.
+    ``solver_individual.SplitProblem`` (split budgets, driven by ``solve``)
+    and ``solver_total.SharedProblem`` (a shared budget, driven by
+    ``search`` through ``candidate(perm)`` and ``result()``) implement the
+    last two.  ``use_at(perm, prices)``, the relay use of a pairing at
+    given prices, lets ``settle`` re-decide a candidate's relay use.
 
     ``fixed`` is a pairing held fixed through the iteration (the pairing
     prices then stay put), or None.
@@ -86,12 +88,31 @@ class DualProblem:
         self.real = real
         self.budgets = budgets
         self.rows = np.arange(real.m)
+        self.no_alpha = np.zeros(real.m)
         self.bound = np.inf   # lowest dual bound found outside the iteration
         self.best = None      # (rate, ...) of the best candidate so far
 
     def keep(self, rate, *candidate) -> None:
         if self.best is None or rate > self.best[0]:
             self.best = (rate, *candidate)
+
+    def settle(self, perm, use, allocate):
+        """Allocate the pairing from relay use ``use`` and re-decide relay
+        use at the prices of that allocation until it settles.
+        ``allocate(perm, use)`` returns (rate, allocation, prices, ...);
+        returns the best."""
+        best = None
+        for _ in range(_SETTLE_ROUNDS):
+            out = allocate(perm, use)
+            if best is None or out[0] > best[0]:
+                best = out
+            if not np.isfinite(out[2]).all():
+                break
+            nxt = self.use_at(perm, out[2])
+            if np.array_equal(nxt, use):
+                break
+            use = nxt
+        return best
 
     def dual_at(self, prices, alpha) -> float:
         """Dual function: every row takes its best-scoring column."""
@@ -102,7 +123,7 @@ class DualProblem:
         """The dual minimized over alpha at fixed power prices is a
         max-weight assignment on the alpha-free scores.  Lowers the bound
         and returns (bound, assignment permutation)."""
-        scores = self.scores(prices, np.zeros(self.real.m))
+        scores = self.scores(prices, self.no_alpha)
         rows, perm = linear_sum_assignment(-scores)
         bound = _dual(scores[rows, perm].sum(), prices, self.budgets, 0.0)
         self.bound = min(self.bound, bound)

@@ -24,7 +24,7 @@ from .oracle import (exhaustive_extra_total, exhaustive_individual,
 from .solver_extra import solve_extra_individual, solve_extra_total
 from .solver_individual import solve_individual
 from .solver_total import solve_total
-from .types import IndividualBudgets, RicianConfig, SolverConfig, WeightRule
+from .types import IndividualBudgets, RicianConfig, SolveReport, SolverConfig, WeightRule
 from .validate import assert_feasible
 
 ALL_SCHEMES = ("Proposed", "ScpWeighted", "ScpUnweighted", "Fixed",
@@ -81,26 +81,35 @@ def _validate(sc, real, alloc):
                     budgets=sc.budgets, extra_allowed=sc.extra_direct)
 
 
-def _solve_proposed(sc, real, seed, cfg):
-    if sc.total_budget is not None:
-        if sc.extra_direct:
-            return solve_extra_total(real, sc.total_budget, cfg=cfg, seed=seed)
-        return solve_total(real, sc.total_budget, cfg=cfg, seed=seed)
-    if sc.extra_direct:
-        warm = solve_individual(real, sc.budgets, cfg=cfg, seed=seed)
-        return solve_extra_individual(real, sc.budgets, cfg=cfg, seed=seed,
-                                      warm_pairing=warm.pairing)
-    return solve_individual(real, sc.budgets, cfg=cfg, seed=seed)
+def solve_proposed(real, *, total_budget: float | None = None,
+                   budgets: IndividualBudgets | None = None, extra_direct: bool = False,
+                   cfg: SolverConfig | None = None, seed: int = 0,
+                   collect_trace: bool = False) -> SolveReport:
+    """The proposed solver for one constraint; with extra-direct reuse under
+    split budgets it starts from the ``solve_individual`` pairing."""
+    if total_budget is not None:
+        fn = solve_extra_total if extra_direct else solve_total
+        return fn(real, total_budget, cfg=cfg, seed=seed, collect_trace=collect_trace)
+    if not extra_direct:
+        return solve_individual(real, budgets, cfg=cfg, seed=seed,
+                                collect_trace=collect_trace)
+    warm = solve_individual(real, budgets, cfg=cfg, seed=seed)
+    return solve_extra_individual(real, budgets, cfg=cfg, seed=seed,
+                                  warm_pairing=warm.pairing, collect_trace=collect_trace)
 
 
-def _oracle_rate(sc, real):
-    if sc.total_budget is not None:
-        if sc.extra_direct:
-            return exhaustive_extra_total(real, sc.total_budget)[0]
-        return exhaustive_total(real, sc.total_budget)[0]
-    if sc.extra_direct:
-        return reference_extra_individual(real, sc.budgets)[0]
-    return exhaustive_individual(real, sc.budgets)[0]
+def solve_oracle(real, *, total_budget: float | None = None,
+                 budgets: IndividualBudgets | None = None, extra_direct: bool = False):
+    """The brute-force optimum for one constraint (the reference value with
+    extra-direct reuse under split budgets): (rate, pairing, relay use or
+    None)."""
+    if total_budget is not None:
+        if extra_direct:
+            return exhaustive_extra_total(real, total_budget)
+        return (*exhaustive_total(real, total_budget), None)
+    if extra_direct:
+        return reference_extra_individual(real, budgets)
+    return (*exhaustive_individual(real, budgets), None)
 
 
 _BASELINE_OF = {"ScpWeighted": BaselineKind.SCP_WEIGHTED,
@@ -112,6 +121,8 @@ def run_trial(sc: Scenario, base_seed: int, m: int, trial: int,
               cfg: SolverConfig | None = None) -> list[ResultRow]:
     seed = trial_seed(base_seed, sc.name, m, trial)
     real = sample_realization(dataclasses.replace(sc.rician, m=m), seed)
+    limits = dict(total_budget=sc.total_budget, budgets=sc.budgets,
+                  extra_direct=sc.extra_direct)
     rows: list[ResultRow] = []
     proposed = None
 
@@ -124,7 +135,7 @@ def run_trial(sc: Scenario, base_seed: int, m: int, trial: int,
         t0 = time.perf_counter()
         if scheme in ("Proposed", "DualBound"):
             if proposed is None:
-                proposed = _solve_proposed(sc, real, seed, cfg)
+                proposed = solve_proposed(real, **limits, cfg=cfg, seed=seed)
                 _validate(sc, real, proposed.allocation)
             dt = time.perf_counter() - t0
             if scheme == "Proposed":
@@ -135,16 +146,12 @@ def run_trial(sc: Scenario, base_seed: int, m: int, trial: int,
                     proposed.iterations, dt)
         elif scheme in _BASELINE_OF:
             pairing = baseline_pairing(real, _BASELINE_OF[scheme])
-            rep = evaluate_baseline(real, pairing,
-                                    total_budget=sc.total_budget,
-                                    budgets=sc.budgets,
-                                    extra_direct=sc.extra_direct,
-                                    cfg=cfg, seed=seed)
+            rep = evaluate_baseline(real, pairing, **limits, cfg=cfg, seed=seed)
             _validate(sc, real, rep.allocation)
             add(scheme, rep.primal_rate, rep.dual_value, rep.iterations,
                 time.perf_counter() - t0)
         elif scheme == "Oracle":
-            add("Oracle", _oracle_rate(sc, real), dt=time.perf_counter() - t0)
+            add("Oracle", solve_oracle(real, **limits)[0], dt=time.perf_counter() - t0)
     return rows
 
 

@@ -8,15 +8,16 @@ against staying direct moves into the scores themselves).
 
 Both are problems for the dual drivers (``relaypair.dual``).
 ``solve_extra_total`` runs the assignment-dual search (``dual.search``) on
-its one shared budget, and ``solve_extra_individual`` the subgradient
-driver (``dual.solve``) on the split budgets, through the candidate
-pipeline of ``solver_individual.SplitProblem``.  A candidate fixes its
-pairing and relay-use pattern, which fixes its channel list
-(``channel.pair_channels``: entry k is pair k's relay or first-slot
-channel, entry M + k its second slot, dead where pair k relays), allocates
-power on it (water-filling under the shared budget,
-``extra_individual_allocate`` under split budgets), and re-decides relay
-use at the prices that allocation implies until the pattern settles.
+its one shared budget, through the candidate pipeline of
+``solver_total.SharedProblem``, and ``solve_extra_individual`` the
+subgradient driver (``dual.solve``) on the split budgets, through that of
+``solver_individual.SplitProblem``.  A candidate fixes its pairing and
+relay-use pattern, which fixes its channel list (``channel.pair_channels``:
+entry k is pair k's relay or first-slot channel, entry M + k its second
+slot, dead where pair k relays), allocates power on it (water-filling under
+the shared budget, ``extra_individual_allocate`` under split budgets), and
+re-decides relay use at the prices that allocation implies until the
+pattern settles (``DualProblem.settle``; the ``use_at`` hooks re-score).
 """
 
 from __future__ import annotations
@@ -24,28 +25,26 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_extra
-from .dual import DualProblem, search, solve
+from .dual import search, solve
 from .kernels import _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
-from .pairing import amend_pairing
 from .rates import weighted_sum_rate
 from .refine import split_solve, zero_crossing_refine
 from .solver_individual import SplitProblem
+from .solver_total import SharedProblem
 from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverConfig
-from .waterfill import waterfill_or_zero
 
 
 # -- shared budget -----------------------------------------------------------
 
-class ExtraTotalProblem(DualProblem):
-    price_names = ("mu",)
+class ExtraTotalProblem(SharedProblem):
+    extra = True
 
     def __init__(self, real: ChannelRealization, budget: float):
-        super().__init__(real, (float(budget),))
+        super().__init__(real, budget)
         self.relay_ok = relay_mask_extra(real)
         self.gains_relay = np.ascontiguousarray(pair_tables(real, self.relay_ok)[0])
         self.inv = _inv_gain(self.gains_relay)
         self.out = _mode_buffers(real.m, 3)
-        self.zero = np.zeros(real.m)
         # relay use at the last scores: all direct before the first
         self.use_relay = np.zeros((real.m, real.m), dtype=bool)
 
@@ -60,40 +59,10 @@ class ExtraTotalProblem(DualProblem):
         return (self.p1[self.rows, sel][relay].sum()
                 + (self.p2 + self.p2[sel])[~relay].sum(),)
 
-    def candidate(self, perm):
-        """Water-fill the permutation's channel list, starting from the relay
-        use of the last scores and re-deciding it at the water price until it
-        settles; keeps the best and returns its water price.  Re-scores, so
-        whatever ``used`` should read must be read before."""
-        use = self.use_relay[self.rows, perm]
-        best = None
-        for _ in range(5):
-            gains, w, c_s, c_r = pair_channels(self.real, perm, use, extra=True)
-            wf = waterfill_or_zero(gains, w, self.budgets[0])
-            rate = wf.rate(gains, w)
-            if best is None or rate > best[0]:
-                best = (rate, (use, wf.powers, c_s, c_r), wf.water_price)
-            # relay use does not depend on the pairing prices
-            self.scores((wf.water_price,), self.zero)
-            nxt = self.use_relay[self.rows, perm]
-            if np.array_equal(nxt, use):
-                break
-            use = nxt
-        rate, powered, price = best
-        self.keep(rate, perm, channel_allocation(perm, *powered))
-        return price
-
-    def evaluate(self, scores, sel, alpha):
-        price = self.candidate(amend_pairing(scores, sel, alpha))
-        self.bound = min(self.bound, self.dual_at((price,), alpha))
-
-    def finish(self, prices, alpha):
-        rep = search(self)
-        return rep.primal_rate, rep.pairing, rep.allocation, rep.diagnostics
-
-    def result(self):
-        _, perm, alloc = self.best
-        return weighted_sum_rate(self.real, alloc, extra_allowed=True), perm, alloc, {}
+    def use_at(self, perm, prices):
+        # relay use does not depend on the pairing prices
+        self.scores(prices, self.no_alpha)
+        return self.use_relay[self.rows, perm]
 
 
 def solve_extra_total(real: ChannelRealization, budget: float,
@@ -146,20 +115,17 @@ class ExtraIndividualProblem(SplitProblem):
     def start(self, perm):
         return self.use_relay[self.rows, perm]
 
+    def use_at(self, perm, prices):
+        self.scores(prices, self.no_alpha)
+        return self.start(perm)
+
+    def allocate_pattern(self, perm, use):
+        alloc, rate, ratio, prices = extra_individual_allocate(self.real, perm, use, self.split)
+        return rate, alloc, prices, {"ratio": ratio}
+
     def allocate(self, perm, use):
         real = self.real
-        best = None
-        for _ in range(5):
-            alloc, rate, ratio, prices = extra_individual_allocate(real, perm, use, self.split)
-            if best is None or rate > best[0]:
-                best = (rate, alloc, prices, {"ratio": ratio})
-            if not np.isfinite(prices).all():
-                break
-            self.scores(prices, np.zeros(real.m))
-            nxt = self.start(perm)
-            if np.array_equal(nxt, use):
-                break
-            use = nxt
+        best = self.settle(perm, use, self.allocate_pattern)
         # an allocation with empty second slots is always admissible here,
         # so a plain no-extra refinement can only help as a fallback
         alt, diag = zero_crossing_refine(real, perm, *self.budgets)

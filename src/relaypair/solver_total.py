@@ -1,11 +1,11 @@
 """Joint pairing and power allocation under one shared power budget.
 
-The problem for the dual drivers (``relaypair.dual``): one power price mu,
-and pair scores from ``kernels.total_scores``.  A candidate water-fills the
-equivalent channels of its permutation.  ``solve_total`` runs the
-assignment-dual search (``dual.search``): at each mu the max-weight
-assignment bounds the dual, and its permutation is the next candidate.
-The paper's subgradient method stays reachable as
+``SharedProblem`` is the candidate pipeline of both shared-budget problems:
+one power price mu, and a candidate that water-fills the channel list of
+its permutation.  ``TotalProblem`` scores pairs by ``kernels.total_scores``.
+``solve_total`` runs the assignment-dual search (``dual.search``): at each
+mu the max-weight assignment bounds the dual, and its permutation is the
+next candidate.  The paper's subgradient method stays reachable as
 ``dual.solve(TotalProblem(real, budget))``; its repair candidates re-
 evaluate the dual at their exact water price, and it ends with the same
 search.
@@ -24,31 +24,30 @@ from .types import ChannelRealization, SolveReport, SolverConfig
 from .waterfill import waterfill_or_zero
 
 
-class TotalProblem(DualProblem):
+class SharedProblem(DualProblem):
+    """Subclasses keep ``use_relay``, the M x M relay use at the last
+    scores, and set ``extra`` when a direct pair reuses its second slot."""
+
     price_names = ("mu",)
+    extra = False
 
     def __init__(self, real: ChannelRealization, budget: float):
         super().__init__(real, (float(budget),))
-        self.relay = relay_mask_total(real)
-        self.gains = np.ascontiguousarray(pair_tables(real, self.relay)[0])
-        self.inv = _inv_gain(self.gains)
-        self.out = _buffers(real.m, 3)
 
-    def scores(self, prices, alpha):
-        scores, self.powers = total_scores(self.real.w, self.gains, prices[0], alpha,
-                                           inv=self.inv, out=self.out)
-        return scores
-
-    def used(self, sel):
-        return (self.powers[self.rows, sel].sum(),)
+    def allocate_pattern(self, perm, use):
+        """Water-fill the channel list of (perm, use): (rate, (use, powers,
+        c_s, c_r), (water price,))."""
+        gains, w, c_s, c_r = pair_channels(self.real, perm, use, extra=self.extra)
+        wf = waterfill_or_zero(gains, w, self.budgets[0])
+        return wf.rate(gains, w), (use, wf.powers, c_s, c_r), (wf.water_price,)
 
     def candidate(self, perm):
-        """Water-fill the permutation's channels; returns the water price."""
-        relay = self.relay[self.rows, perm]
-        gains, w, c_s, c_r = pair_channels(self.real, perm, relay)
-        wf = waterfill_or_zero(gains, w, self.budgets[0])
-        self.keep(wf.rate(gains, w), perm, (relay, wf.powers, c_s, c_r), wf.water_price)
-        return wf.water_price
+        """Keep the permutation if it is the best so far; returns its water
+        price.  May re-score: read ``used`` before."""
+        rate, powered, (price,) = self.settle(perm, self.use_relay[self.rows, perm],
+                                              self.allocate_pattern)
+        self.keep(rate, perm, powered, price)
+        return price
 
     def evaluate(self, scores, sel, alpha):
         price = self.candidate(amend_pairing(scores, sel, alpha))
@@ -61,8 +60,30 @@ class TotalProblem(DualProblem):
     def result(self):
         _, perm, powered, price = self.best
         alloc = channel_allocation(perm, *powered)
-        return (weighted_sum_rate(self.real, alloc, extra_allowed=False), perm, alloc,
+        return (weighted_sum_rate(self.real, alloc, extra_allowed=self.extra), perm, alloc,
                 {"water_price": price})
+
+
+class TotalProblem(SharedProblem):
+
+    def __init__(self, real: ChannelRealization, budget: float):
+        super().__init__(real, budget)
+        self.use_relay = relay_mask_total(real)
+        self.gains = np.ascontiguousarray(pair_tables(real, self.use_relay)[0])
+        self.inv = _inv_gain(self.gains)
+        self.out = _buffers(real.m, 3)
+
+    def scores(self, prices, alpha):
+        scores, self.powers = total_scores(self.real.w, self.gains, prices[0], alpha,
+                                           inv=self.inv, out=self.out)
+        return scores
+
+    def used(self, sel):
+        return (self.powers[self.rows, sel].sum(),)
+
+    def use_at(self, perm, prices):
+        # relay use does not depend on the price
+        return self.use_relay[self.rows, perm]
 
 
 def solve_total(real: ChannelRealization, budget: float,

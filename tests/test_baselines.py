@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaypair import (BaselineKind, IndividualBudgets, baseline_pairing,
+from relaypair import (BaselineKind, IndividualBudgets, WeightRule, baseline_pairing,
                        evaluate_baseline, scp_pairing, solve_total)
 
 from conftest import manual_real, random_real
@@ -100,3 +100,25 @@ def test_shared_budget_baseline_on_zero_weights(extra):
     assert np.array_equal(rep.pairing, perm)
     assert rep.allocation.total_power() == 0.0
     assert_feasible(real, rep.allocation, total_budget=5.0, extra_allowed=extra)
+
+
+PROFILES = [dict(sr=3.0, sd=1.0, rd=3.0), dict(sr=5.0, sd=1.0, rd=1.0),
+            dict(sr=1.0, sd=1.0, rd=5.0)]
+
+
+def test_reuse_never_lowers_a_split_budget_baseline():
+    # an allocation with empty second slots is admissible under reuse, so the
+    # zero-crossing fallback of the extra-direct allocation keeps every
+    # extra-direct baseline at or above the no-reuse one; without it, draws
+    # 3 and 25 fall below (draw 25 to 2.5832 with each pairing)
+    for t in range(40):
+        rule = WeightRule.LINEAR_RAMP if t % 2 else WeightRule.ALL_ONE
+        real = random_real(8, seed=7000 + t, weight_rule=rule, **PROFILES[t % 3])
+        for kind in BaselineKind:
+            pairing = baseline_pairing(real, kind)
+            reuse = evaluate_baseline(real, pairing, budgets=BUD, extra_direct=True,
+                                      seed=t).primal_rate
+            plain = evaluate_baseline(real, pairing, budgets=BUD).primal_rate
+            assert reuse >= plain - 1e-9 * max(1.0, plain), (t, kind)
+            if t == 25 and kind is BaselineKind.SCP_WEIGHTED:
+                assert reuse == pytest.approx(3.1145, abs=1e-4)

@@ -1,8 +1,11 @@
 """The two dual drivers: input without a channel that can carry rate, the
 assignment-dual search of the shared-budget problems against the
-subgradient method, and generated instances of all four problems against
-the brute-force optimum (the reference value with extra-direct reuse under
-split budgets)."""
+subgradient method, generated instances of all four problems against the
+brute-force optimum (the reference value with extra-direct reuse under
+split budgets), and invariants of all four solvers within the reported
+gaps."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from relaypair import (ChannelRealization, IndividualBudgets, assert_feasible,
                        reference_extra_individual, solve_extra_individual,
                        solve_extra_total, solve_individual, solve_total,
                        validate_allocation)
+from relaypair.experiments import solve_proposed
 from relaypair.solver_extra import ExtraTotalProblem
 from relaypair.solver_total import TotalProblem
 from relaypair.types import SolverConfig
@@ -176,3 +180,82 @@ def test_solve_extra_individual_on_generated_input(real, p_source, p_relay):
     warm = solve_individual(real, budgets, cfg=cfg).pairing
     _check(real, solve_extra_individual(real, budgets, cfg=cfg, warm_pairing=warm), cfg,
            reference_extra_individual(real, budgets)[0], True, budgets=budgets)
+
+
+# -- invariants within the reported gaps --------------------------------------
+#
+# Weak duality bounds each rate by the optimum within the gap, so a change of
+# labels or units, which keeps the optimum, moves the rate by at most the
+# larger gap, and larger budgets, which cannot lower the optimum, lower the
+# rate by at most the new gap.
+
+# an exponential draw, kept to gains of at least 1e-12 like ``_gain``
+_exp = st.floats(1e-12, 0.999).map(lambda u: -math.log1p(-u))
+
+
+@st.composite
+def _invariant_cases(draw, max_m, common):
+    """A realization with exponential gains of mean 1, 3 or 5 per link, or
+    gains 10^U(-6, 6) with 20% dead direct links; a relabeling of the first
+    slot (a_sd, a_sr, w) and one of the second slot (a_rd), common to both
+    slots when ``common``; and a unit change c."""
+    m = draw(st.integers(1, max_m))
+    if draw(st.booleans()):
+        vec = st.lists(_exp, min_size=m, max_size=m)
+        a_sd, a_sr, a_rd = (draw(st.sampled_from((1.0, 3.0, 5.0))) * np.array(draw(vec))
+                            for _ in range(3))
+    else:
+        vec = st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), min_size=m, max_size=m)
+        a_sd, a_sr, a_rd = (np.array(draw(vec)) for _ in range(3))
+        a_sd[np.array(draw(_share(m, 2)))] = 0.0
+    w = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m)))
+    real = ChannelRealization(m=m, a_sd=a_sd, a_sr=a_sr, a_rd=a_rd, w=w)
+    first = np.array(draw(st.permutations(range(m))))
+    second = first if common else np.array(draw(st.permutations(range(m))))
+    return real, first, second, 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+def _check_invariants(case, limits):
+    """``limits(k)`` gives solve_proposed's constraint keywords with every
+    budget times k."""
+    real, first, second, c = case
+
+    def run(real, limits):
+        rep = solve_proposed(real, **limits)
+        return rep.primal_rate, rep.dual_value - rep.primal_rate
+
+    rate, gap = run(real, limits(1.0))
+    tol = 1e-9 * max(1.0, rate)
+    relabeled = ChannelRealization(m=real.m, a_sd=real.a_sd[first], a_sr=real.a_sr[first],
+                                   a_rd=real.a_rd[second], w=real.w[first])
+    other, other_gap = run(relabeled, limits(1.0))
+    assert abs(other - rate) <= max(gap, other_gap) + tol, "relabeling"
+    rescaled = ChannelRealization(m=real.m, a_sd=c * real.a_sd, a_sr=c * real.a_sr,
+                                  a_rd=c * real.a_rd, w=real.w)
+    other, other_gap = run(rescaled, limits(1.0 / c))
+    assert abs(other - rate) <= max(gap, other_gap) + tol, "unit change"
+    other, other_gap = run(real, limits(1.5))
+    assert other >= rate - other_gap - tol, "larger budgets"
+
+
+_shared_budget = st.floats(-1.0, 1.5).map(lambda e: 10.0 ** e)
+_split_budget = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+
+
+# the second-slot message of a direct pair uses the a_sd and w of its
+# second-slot subcarrier, so with reuse only a common relabeling is a symmetry
+@pytest.mark.parametrize("extra", [False, True], ids=["total", "extra_total"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), budget=_shared_budget)
+def test_shared_budget_invariants(extra, data, budget):
+    case = data.draw(_invariant_cases(8, common=extra))
+    _check_invariants(case, lambda k: dict(total_budget=k * budget, extra_direct=extra))
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["individual", "extra_individual"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), p_source=_split_budget, p_relay=_split_budget)
+def test_split_budget_invariants(extra, data, p_source, p_relay):
+    case = data.draw(_invariant_cases(6, common=extra))
+    _check_invariants(case, lambda k: dict(budgets=IndividualBudgets(k * p_source, k * p_relay),
+                                           extra_direct=extra))

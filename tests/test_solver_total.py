@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from relaypair import (IndividualBudgets, assert_feasible, exhaustive_total,
-                       solve_extra_individual, solve_extra_total,
-                       solve_individual, solve_total, weighted_sum_rate)
+from relaypair import (IndividualBudgets, PairMode, assert_feasible, evaluate_baseline,
+                       exhaustive_total, scp_pairing, solve_extra_individual,
+                       solve_extra_total, solve_individual, solve_total,
+                       weighted_sum_rate)
+from relaypair.channel import pair_channels
 from relaypair.kernels import total_scores
 from relaypair.types import SolverConfig
+from relaypair.waterfill import waterfill_or_zero
 
 from conftest import manual_real, random_real
 
@@ -102,3 +105,17 @@ def test_respects_hard_iteration_cap():
         rep = solver(real, budget, cfg=cfg, seed=6)
         assert rep.iterations <= 50, solver.__name__
         assert rep.trigger_iter <= rep.iterations, solver.__name__
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_shared_budget_reports_the_winning_water_price(extra):
+    real = random_real(8, seed=31)
+    solver = solve_extra_total if extra else solve_total
+    for rep in (solver(real, 5.0),
+                evaluate_baseline(real, scp_pairing(real), total_budget=5.0,
+                                  extra_direct=extra)):
+        assert set(rep.diagnostics) == {"water_price"}
+        # the water price of the reported allocation's channel list
+        relay = rep.allocation.modes == PairMode.RELAY
+        gains, w, _, _ = pair_channels(real, rep.pairing, relay, extra=extra)
+        assert rep.diagnostics["water_price"] == waterfill_or_zero(gains, w, 5.0).water_price
