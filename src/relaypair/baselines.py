@@ -6,8 +6,9 @@ a_rd_m, both descending, and pairs equal ranks.  The second-slot key is
 never weighted since the pairing is not known in advance.  Given the fixed
 pairing, mode selection and power allocation follow the same rules as the
 corresponding solver so the comparison isolates the pairing quality: one
-candidate of the shared-budget problem, the split-budget refinement, or the
-extra-direct split-budget solver with the pairing held fixed.
+candidate of the shared-budget problem, the split-budget refinement, or (split
+budgets with reuse) the best relay use on a price grid (``ExtraIndividualProblem.scan``).
+No baseline draws a random number or reports a dual bound.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 from .pairing import scp_pairing
 from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
-from .solver_extra import ExtraTotalProblem, solve_extra_individual
+from .solver_extra import ExtraIndividualProblem, ExtraTotalProblem
 from .solver_total import TotalProblem
-from .types import (ChannelRealization, IndividualBudgets, SolveReport,
-                    SolverConfig, check_permutation)
+from .types import ChannelRealization, IndividualBudgets, SolveReport, check_permutation
 
 
 class BaselineKind(enum.Enum):
@@ -40,9 +40,7 @@ def baseline_pairing(real: ChannelRealization, kind: BaselineKind) -> np.ndarray
 def evaluate_baseline(real: ChannelRealization, pairing: np.ndarray, *,
                       total_budget: float | None = None,
                       budgets: IndividualBudgets | None = None,
-                      extra_direct: bool = False,
-                      cfg: SolverConfig | None = None,
-                      seed: int = 0) -> SolveReport:
+                      extra_direct: bool = False) -> SolveReport:
     """Best allocation for a fixed pairing under the requested scenario."""
     perm = check_permutation(pairing, real.m)
     if (total_budget is None) == (budgets is None):
@@ -52,16 +50,13 @@ def evaluate_baseline(real: ChannelRealization, pairing: np.ndarray, *,
         problem = (ExtraTotalProblem if extra_direct else TotalProblem)(real, total_budget)
         problem.candidate(perm)
         rate, _, alloc, diag = problem.result()
-        return SolveReport(pairing=perm, allocation=alloc, primal_rate=rate,
-                           dual_value=np.nan, iterations=0, trigger_iter=0,
-                           diagnostics=diag)
-
-    if extra_direct:
-        return solve_extra_individual(real, budgets, cfg=cfg, seed=seed,
-                                      fixed_pairing=perm)
-    alloc, diag = zero_crossing_refine(real, perm, budgets.p_source,
-                                       budgets.p_relay)
-    rate = weighted_sum_rate(real, alloc, extra_allowed=False)
+    elif extra_direct:
+        rate, alloc, (mu_s, mu_r), diag = ExtraIndividualProblem(real, budgets).scan(perm)
+        diag = {"mu_s": mu_s, "mu_r": mu_r, **diag}
+    else:
+        alloc, diag = zero_crossing_refine(real, perm, budgets.p_source, budgets.p_relay)
+        rate = weighted_sum_rate(real, alloc, extra_allowed=False)
+        diag = {key: diag[key] for key in ("mu_s", "mu_r", "ratio")}
     return SolveReport(pairing=perm, allocation=alloc, primal_rate=rate,
                        dual_value=np.nan, iterations=0, trigger_iter=0,
                        diagnostics=diag)

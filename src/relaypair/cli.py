@@ -55,8 +55,7 @@ def cmd_solve(args) -> int:
         kind = BaselineKind(args.baseline)
         pairing = baseline_pairing(real, kind)
         rep = evaluate_baseline(real, pairing, total_budget=total,
-                                budgets=budgets, extra_direct=args.extra_direct,
-                                seed=args.seed)
+                                budgets=budgets, extra_direct=args.extra_direct)
     else:
         rep = solve_proposed(real, total_budget=total, budgets=budgets,
                              extra_direct=args.extra_direct, seed=args.seed,
@@ -125,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the dual trace CSV here: one row per "
                    "subgradient iteration (split budgets) or assignment "
                    "evaluation (shared budget)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="initial prices of the "
+                   "split-budget solvers; the baselines draw nothing")
     p.add_argument("--bits", action="store_true", help="report rates in bits")
     p.set_defaults(func=cmd_solve)
 

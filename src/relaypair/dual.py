@@ -34,7 +34,7 @@ the iterations of ``solve`` and the assignment evaluations of ``search``.
 
 A problem (a ``DualProblem`` subclass) supplies its budgets, the score
 matrix at given prices, the consumption per budget at the chosen columns,
-optionally a pairing held fixed, and its candidate evaluation.
+and its candidate evaluation.
 """
 
 from __future__ import annotations
@@ -76,13 +76,9 @@ class DualProblem:
     ``search`` through ``candidate(perm)`` and ``result()``) implement the
     last two.  ``use_at(perm, prices)``, the relay use of a pairing at
     given prices, lets ``settle`` re-decide a candidate's relay use.
-
-    ``fixed`` is a pairing held fixed through the iteration (the pairing
-    prices then stay put), or None.
     """
 
     price_names: tuple = ()
-    fixed: np.ndarray | None = None
 
     def __init__(self, real: ChannelRealization, budgets: tuple):
         self.real = real
@@ -153,7 +149,6 @@ def iterate(problem: DualProblem, prices, alpha: np.ndarray,
     (trigger_iter, iterations, prices, dual_min, converged).
     """
     budgets = problem.budgets
-    fixed = problem.fixed
     rows = problem.rows
     m = rows.shape[0]
     stop = cfg.max_iter_hard
@@ -164,7 +159,7 @@ def iterate(problem: DualProblem, prices, alpha: np.ndarray,
     while i < stop:
         i += 1
         scores = problem.scores(prices, alpha)
-        sel = scores.argmax(axis=1) if fixed is None else fixed
+        sel = scores.argmax(axis=1)
         used = problem.used(sel)
         dual = _dual(scores[rows, sel].sum(), prices, budgets, alpha.sum())
         dual_min = min(dual_min, dual)
@@ -175,8 +170,7 @@ def iterate(problem: DualProblem, prices, alpha: np.ndarray,
 
         step = _STEP_SCALE / math.sqrt(i)
         new = [max(p - step * (b - u), 0.0) for p, b, u in zip(prices, budgets, used)]
-        al_rel = 0.0 if fixed is not None else _alpha_step(
-            alpha, np.bincount(sel, minlength=m), step)
+        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
         if trigger is None:
             ok = (al_rel < _EPS_CONVERGE
                   and max(abs(n - p) for n, p in zip(new, prices))
@@ -204,8 +198,6 @@ def _silent(problem: DualProblem, collect_trace: bool) -> SolveReport:
     """Without a channel of positive weighted gain every allocation has
     rate 0: the zero allocation, with the exact bound 0."""
     alloc = Allocation.zeros(problem.real.m)
-    if problem.fixed is not None:
-        alloc.pairing = problem.fixed.copy()
     return SolveReport(pairing=alloc.pairing.copy(), allocation=alloc,
                        primal_rate=0.0, dual_value=0.0, iterations=0,
                        trigger_iter=0, converged=True,

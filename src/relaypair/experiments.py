@@ -146,7 +146,7 @@ def run_trial(sc: Scenario, base_seed: int, m: int, trial: int,
                     proposed.iterations, dt)
         elif scheme in _BASELINE_OF:
             pairing = baseline_pairing(real, _BASELINE_OF[scheme])
-            rep = evaluate_baseline(real, pairing, **limits, cfg=cfg, seed=seed)
+            rep = evaluate_baseline(real, pairing, **limits)
             _validate(sc, real, rep.allocation)
             add(scheme, rep.primal_rate, rep.dual_value, rep.iterations,
                 time.perf_counter() - t0)

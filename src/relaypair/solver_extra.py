@@ -90,13 +90,18 @@ def extra_individual_allocate(real: ChannelRealization, perm: np.ndarray,
     return alloc, rate, diag["ratio"], (diag["mu_s"], diag["mu_r"])
 
 
+_SCAN_SCALES = 10.0 ** np.linspace(-1.0, 1.0, 5)   # ``scan``'s grid: source-price scales
+_SCAN_STEPS = 10.0 ** np.linspace(-2.0, 2.0, 33)   # and steps of the ratio mu_r/mu_s,
+_SCAN_RATIO_FLOOR = 1e-3                           # floored here
+
+
 class ExtraIndividualProblem(SplitProblem):
     """A candidate starts from its relay use at the prices its pairing
     came from."""
 
     def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
-                 warm_pairing=None, fixed_pairing=None):
-        super().__init__(real, budgets, warm_pairing, fixed_pairing)
+                 warm_pairing=None):
+        super().__init__(real, budgets, warm_pairing)
         self.out = _mode_buffers(real.m, 6)
 
     def scores(self, prices, alpha):
@@ -134,11 +139,24 @@ class ExtraIndividualProblem(SplitProblem):
             best = (alt_rate, alt, (diag["mu_s"], diag["mu_r"]), {"ratio": diag["ratio"]})
         return best
 
+    def scan(self, perm):
+        """The best ``allocate`` of a fixed pairing over the relay-use patterns
+        met on a fixed price grid around its no-reuse refinement's prices."""
+        _, diag = zero_crossing_refine(self.real, perm, *self.budgets)
+        mu_s = diag["mu_s"] if 0.0 < diag["mu_s"] < np.inf else 1.0
+        ratio = diag["mu_r"] / mu_s if diag["mu_r"] < np.inf else 1.0
+        seen = set()
+        for scale in _SCAN_SCALES * mu_s:
+            for step in _SCAN_STEPS:
+                use = self.use_at(perm, (scale, scale * max(ratio * step, _SCAN_RATIO_FLOOR)))
+                if use.tobytes() not in seen:
+                    seen.add(use.tobytes())
+                    self.keep(*self.allocate(perm, use))
+        return self.best
+
 
 def solve_extra_individual(real: ChannelRealization, budgets: IndividualBudgets,
                            cfg: SolverConfig | None = None, seed: int = 0,
                            warm_pairing: np.ndarray | None = None,
-                           fixed_pairing: np.ndarray | None = None,
                            collect_trace: bool = False) -> SolveReport:
-    return solve(ExtraIndividualProblem(real, budgets, warm_pairing, fixed_pairing),
-                 cfg, seed, collect_trace)
+    return solve(ExtraIndividualProblem(real, budgets, warm_pairing), cfg, seed, collect_trace)

@@ -31,21 +31,16 @@ class SplitProblem(DualProblem):
     permutation is queued.  ``finish`` adds the rank-matched, identity and
     warm pairings, drains the queue (at most 3M candidates), and ends with a
     Nelder-Mead descent on the assignment dual, convex in the two prices.
-    With a pairing held fixed, only that pairing is allocated.
     """
 
     price_names = ("mu_s", "mu_r")
 
     def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
-                 warm_pairing=None, fixed_pairing=None):
+                 warm_pairing=None):
         super().__init__(real, (budgets.p_source, budgets.p_relay))
         self.split = budgets
-        if fixed_pairing is None:
-            warm = [] if warm_pairing is None else [np.asarray(warm_pairing, dtype=np.int64)]
-            self.finals = [scp_pairing(real), self.rows.copy(), *warm]
-        else:
-            self.fixed = np.asarray(fixed_pairing, dtype=np.int64)
-            self.finals = [self.fixed]
+        warm = [] if warm_pairing is None else [np.asarray(warm_pairing, dtype=np.int64)]
+        self.finals = [scp_pairing(real), self.rows.copy(), *warm]
         self.seen: set[bytes] = set()
         self.pending: list[tuple] = []
 
@@ -58,7 +53,7 @@ class SplitProblem(DualProblem):
             return
         self.seen.add(key)
         rate, alloc, prices, diag = self.allocate(perm, start)
-        if self.fixed is None and np.isfinite(prices).all():
+        if np.isfinite(prices).all():
             nxt = self.assign(prices)[1]
             self.pending.append((nxt, self.start(nxt)))
         self.keep(rate, perm, alloc, prices, diag)
@@ -68,9 +63,8 @@ class SplitProblem(DualProblem):
         self.consider(perm, self.start(perm))
 
     def finish(self, prices, alpha):
-        finals = self.finals if self.fixed is None or self.best is None else []
         self.scores(prices, alpha)   # every start is read here, before any re-scoring
-        for perm, start in [(perm, self.start(perm)) for perm in finals]:
+        for perm, start in [(perm, self.start(perm)) for perm in self.finals]:
             self.consider(perm, start)
         # each refined candidate's prices give an assignment permutation,
         # itself worth allocating (capped so that it cannot chain forever)
@@ -80,7 +74,7 @@ class SplitProblem(DualProblem):
             self.consider(*self.pending.pop())
 
         rate, perm, alloc, best_prices, diag = self.best
-        if self.fixed is None and np.isfinite(best_prices).all():
+        if np.isfinite(best_prices).all():
             minimize(lambda x: self.assign((abs(x[0]), abs(x[1])))[0],
                      np.maximum(best_prices, 1e-6), method="Nelder-Mead",
                      options={"maxfev": 120, "xatol": 1e-6, "fatol": 1e-12})

@@ -33,12 +33,13 @@ def _as_vector(x, m, name):
         raise ValidationError(f"{name} contains non-finite entries")
     if np.any(v < 0):
         raise ValidationError(f"{name} contains negative entries")
-    return v
+    return np.where(v < np.finfo(float).tiny, 0.0, v)
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-subcarrier normalized gains of the SD/SR/RD links plus rate weights."""
+    """Per-subcarrier normalized gains of the SD/SR/RD links plus rate weights;
+    subnormal entries, whose reciprocals overflow, are held as 0."""
 
     m: int
     a_sd: np.ndarray
@@ -141,9 +142,9 @@ class SolverConfig:
     (``dual.solve``).  ``max_iter_hard`` caps both: the subgradient
     iterations and the search's assignment evaluations.  ``min_iter`` is
     read by the subgradient method only, as is the solvers' ``seed``
-    argument (its initial prices); the search draws nothing.  The step
-    size, stopping threshold, repair-span length and initial dual range are
-    constants of ``relaypair.dual``."""
+    argument (its initial prices); the search and the baselines draw nothing.
+    The step size, stopping threshold, repair-span length and initial dual
+    range are constants of ``relaypair.dual``."""
 
     max_iter_hard: int = 30000
     # the raw stopping rule can fire on a momentarily small subgradient, so

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from relaypair import (BaselineKind, IndividualBudgets, WeightRule, baseline_pairing,
-                       evaluate_baseline, scp_pairing, solve_total)
+from relaypair import (BaselineKind, IndividualBudgets, PairMode, WeightRule,
+                       baseline_pairing, evaluate_baseline, scp_pairing, solve_total,
+                       zero_crossing_refine)
+from relaypair.solver_extra import extra_individual_allocate
 
 from conftest import manual_real, random_real
 
@@ -109,16 +111,37 @@ PROFILES = [dict(sr=3.0, sd=1.0, rd=3.0), dict(sr=5.0, sd=1.0, rd=1.0),
 def test_reuse_never_lowers_a_split_budget_baseline():
     # an allocation with empty second slots is admissible under reuse, so the
     # zero-crossing fallback of the extra-direct allocation keeps every
-    # extra-direct baseline at or above the no-reuse one; without it, draws
-    # 3 and 25 fall below (draw 25 to 2.5832 with each pairing)
+    # extra-direct baseline at or above the no-reuse one; without it, draw 3
+    # falls below (4.2012 against 4.2024 with the unweighted rank-matched pairing)
     for t in range(40):
         rule = WeightRule.LINEAR_RAMP if t % 2 else WeightRule.ALL_ONE
         real = random_real(8, seed=7000 + t, weight_rule=rule, **PROFILES[t % 3])
         for kind in BaselineKind:
             pairing = baseline_pairing(real, kind)
-            reuse = evaluate_baseline(real, pairing, budgets=BUD, extra_direct=True,
-                                      seed=t).primal_rate
+            reuse = evaluate_baseline(real, pairing, budgets=BUD, extra_direct=True).primal_rate
             plain = evaluate_baseline(real, pairing, budgets=BUD).primal_rate
             assert reuse >= plain - 1e-9 * max(1.0, plain), (t, kind)
             if t == 25 and kind is BaselineKind.SCP_WEIGHTED:
-                assert reuse == pytest.approx(3.1145, abs=1e-4)
+                assert reuse == pytest.approx(3.2955, abs=1e-4)
+
+
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("seed", [30, 31])
+def test_split_budget_baselines_report_the_kept_prices(extra, seed):
+    # with reuse, draw 30 keeps the pairing's no-reuse refinement and draw 31
+    # a relay-use pattern with second-slot messages
+    real = random_real(8, seed=seed)
+    perm = scp_pairing(real)
+    rep = evaluate_baseline(real, perm, budgets=BUD, extra_direct=extra)
+    assert set(rep.diagnostics) == {"mu_s", "mu_r", "ratio"}
+    kept = [zero_crossing_refine(real, perm, BUD.p_source, BUD.p_relay)]
+    if extra:
+        relay = rep.allocation.modes == PairMode.RELAY
+        alloc, _, ratio, (mu_s, mu_r) = extra_individual_allocate(real, perm, relay, BUD)
+        kept.append((alloc, {"mu_s": mu_s, "mu_r": mu_r, "ratio": ratio}))
+    # the prices of the allocation that equals the reported one
+    assert any(rep.diagnostics == {key: diag[key] for key in rep.diagnostics}
+               for alloc, diag in kept
+               if all(np.array_equal(getattr(alloc, f), getattr(rep.allocation, f))
+                      for f in ("modes", "p_s", "p_r", "q_s")))
+    assert (rep.allocation.q_s > 0).any() == (extra and seed == 31)

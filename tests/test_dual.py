@@ -62,6 +62,34 @@ def test_zero_weighted_gain_keeps_a_fixed_pairing():
     assert rep.primal_rate == 0.0
 
 
+# (a_sd, a_sr, a_rd, w) with subnormal entries, and the same with those at 0
+SUBNORMAL = {
+    "gain": (([0.0, 0.0], [0.0, 0.693], [0.0, 2.2e-311], [1.0, 1.0]),
+             ([0.0, 0.0], [0.0, 0.693], [0.0, 0.0], [1.0, 1.0])),
+    "gain_and_weight": (([0.3, 0.0], [0.5, 0.693], [0.7, 2.2e-311], [5e-324, 1.0]),
+                        ([0.3, 0.0], [0.5, 0.693], [0.7, 0.0], [0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", SUBNORMAL.values(), ids=SUBNORMAL.keys())
+def test_subnormal_input_is_flushed_to_zero(case):
+    # 1 / 2.2e-311 overflows; the realization holds 0 instead, so the solvers
+    # and baselines run warning-free and the solvers give the rates of the twin
+    real, twin = (manual_real(*args) for args in case)
+    for name in ("a_sd", "a_sr", "a_rd", "w"):
+        assert np.array_equal(getattr(real, name), getattr(twin, name))
+    for extra in (False, True):
+        for limits in ({"total_budget": 5.0}, {"budgets": SPLIT}):
+            reports = [solve_proposed(real, extra_direct=extra, **limits)]
+            reports += [evaluate_baseline(real, perm, extra_direct=extra, **limits)
+                        for perm in ([0, 1], [1, 0])]
+            for rep in reports:
+                assert np.isfinite(rep.primal_rate)
+                assert_feasible(real, rep.allocation, extra_allowed=extra, **limits)
+            assert reports[0].primal_rate == solve_proposed(
+                twin, extra_direct=extra, **limits).primal_rate
+
+
 def test_search_bisects_when_pairings_alternate(monkeypatch):
     # two assignments returned in turn, whatever the price: each one's water
     # price is already an end of the bracket after it has been tried once,
@@ -180,6 +208,22 @@ def test_solve_extra_individual_on_generated_input(real, p_source, p_relay):
     warm = solve_individual(real, budgets, cfg=cfg).pairing
     _check(real, solve_extra_individual(real, budgets, cfg=cfg, warm_pairing=warm), cfg,
            reference_extra_individual(real, budgets)[0], True, budgets=budgets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_realizations(4), _budget, _budget, st.data())
+def test_extra_direct_baseline_on_generated_input(real, p_source, p_relay, data):
+    # with reuse a fixed pairing gets at least its no-reuse allocation and at
+    # most the dual bound over all pairings
+    budgets = IndividualBudgets(p_source, p_relay)
+    perm = np.array(data.draw(st.permutations(range(real.m))))
+    rep = evaluate_baseline(real, perm, budgets=budgets, extra_direct=True)
+    assert validate_allocation(real, rep.allocation, budgets=budgets, extra_allowed=True) == []
+    plain = evaluate_baseline(real, perm, budgets=budgets).primal_rate
+    assert rep.primal_rate >= plain - 1e-9 * max(1.0, plain)
+    warm = solve_individual(real, budgets).pairing
+    bound = solve_extra_individual(real, budgets, warm_pairing=warm).dual_value
+    assert rep.primal_rate <= bound + 1e-9 * max(1.0, bound)
 
 
 # -- invariants within the reported gaps --------------------------------------

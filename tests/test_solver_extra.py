@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaypair import (IndividualBudgets, assert_feasible,
+from relaypair import (IndividualBudgets, assert_feasible, evaluate_baseline,
                        exhaustive_extra_total, reference_extra_individual,
                        solve_extra_individual, solve_extra_total,
                        solve_individual, solve_total)
@@ -110,5 +110,7 @@ def test_relay_inadmissible_without_sr_advantage():
 def test_fixed_pairing_mode():
     real = random_real(5, seed=1400)
     fixed = np.array([2, 0, 4, 1, 3])
-    rep = solve_extra_individual(real, BUD, seed=0, fixed_pairing=fixed)
+    rep = evaluate_baseline(real, fixed, budgets=BUD, extra_direct=True)
     assert np.array_equal(rep.pairing, fixed)
+    assert np.array_equal(rep.allocation.pairing, fixed)
+    assert_feasible(real, rep.allocation, budgets=BUD, extra_allowed=True)
