@@ -122,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_constraint_args(p)
     p.add_argument("--baseline", choices=[k.value for k in BaselineKind])
     p.add_argument("--trace", help="write the dual trace CSV here: one row per "
-                   "subgradient iteration (split budgets) or assignment "
-                   "evaluation (shared budget)")
-    p.add_argument("--seed", type=int, default=0, help="initial prices of the "
-                   "split-budget solvers; the baselines draw nothing")
+                   "assignment evaluation of the dual driver")
+    p.add_argument("--seed", type=int, default=0, help="kept for compatibility; "
+                   "no solver or baseline draws a random number")
     p.add_argument("--bits", action="store_true", help="report rates in bits")
     p.set_defaults(func=cmd_solve)
 

@@ -1,4 +1,4 @@
-"""The two dual drivers that solve the four problems.
+"""The dual drivers that solve the four problems.
 
 Each problem is relaxed the same way: one price per power budget (mu for a
 shared budget, (mu_s, mu_r) for separate source and relay budgets) and one
@@ -7,30 +7,37 @@ subcarrier constraint.  Yu & Lui (IEEE Trans. Commun. 2006) show why the
 duality gap of such nonconvex multicarrier problems shrinks as the number
 of subcarriers grows.
 
-``solve`` is the paper's subgradient method, and the driver of the split-
-budget problems.  At fixed prices every first-slot subcarrier picks its
-best-scoring partner, which gives the dual function, and the prices take a
-subgradient step of length _STEP_SCALE / sqrt(i).  ``iterate`` runs its two
-phases: phase 1 stops once every price moves by less than _EPS_CONVERGE
-relative to the largest one (so a price pinned near 0 settles too) on
-three iterations in a row, after at least ``min_iter`` of them, or at the
-hard cap.  The repair span then runs _EXTRA_ITER_FRAC more
+Minimized over alpha, the dual at fixed power prices is a max-weight
+assignment on the alpha-free scores (``DualProblem.assign``, a LAP solved
+by ``linear_sum_assignment``; Crouse, IEEE TAES 2016).  What is left is a
+convex function D of the power prices, with subgradient the budgets minus
+the consumption at the assignment.  Two drivers minimize it, and every
+assignment permutation they meet is a candidate:
+
+- ``search`` drives the shared-budget problems: a bracketed 1-D search on
+  D(mu) = assignment(mu) + mu P, where the water price of each candidate
+  is the next mu to try whenever it lies inside the bracket;
+- ``cuts`` drives the split-budget problems: Kelley's cutting planes (SIAM
+  J. 1960; Cheney & Goldstein, Numer. Math. 1959) on
+  D(mu_s, mu_r) = assignment + mu_s Ps + mu_r Pr, each step a 3-variable
+  ``linprog``.
+
+Neither draws a random number.  ``SolverConfig.max_iter_hard`` caps their
+assignment evaluations.
+
+``solve`` is the paper's subgradient method, kept as the reference for the
+shared-budget problems.  At fixed prices every first-slot subcarrier picks
+its best-scoring partner, which gives the dual function, and the prices
+take a subgradient step of length _STEP_SCALE / sqrt(i).  ``iterate`` runs
+its two phases: phase 1 stops once every price moves by less than
+_EPS_CONVERGE relative to the largest one (so a price pinned near 0
+settles too) on three iterations in a row, after at least ``min_iter`` of
+them, or at the hard cap.  The repair span then runs _EXTRA_ITER_FRAC more
 iterations and hands each iteration's scores and column choice to the
 problem, which repairs them into a feasible candidate.  ``solve`` draws the
 initial prices from its seed, runs ``iterate``, lets the problem add its
 own final candidates, and reports the best primal with the lowest dual
 bound seen.
-
-``search`` drives the shared-budget problems.  Minimized over alpha, the
-dual at a fixed power price mu is a max-weight assignment on the alpha-free
-scores (``DualProblem.assign``, a LAP solved by ``linear_sum_assignment``;
-Crouse, IEEE TAES 2016), so what is left is the convex function
-D(mu) = assignment(mu) + mu P of one price, with subgradient P minus the
-consumption at the assignment.  ``search`` minimizes it by a bracketed 1-D
-search: every assignment permutation is water-filled as a candidate, and
-the candidate's water price is the next mu to try whenever it lies inside
-the bracket.  It uses no random draw.  ``SolverConfig.max_iter_hard`` caps
-the iterations of ``solve`` and the assignment evaluations of ``search``.
 
 A problem (a ``DualProblem`` subclass) supplies its budgets, the score
 matrix at given prices, the consumption per budget at the chosen columns,
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .kernels import MU_FLOOR
 from .pairing import scp_pairing
@@ -55,6 +62,8 @@ _DUAL_INIT_LOW = 0.0      # initial prices are uniform in [low, high]
 _DUAL_INIT_HIGH = 2.0
 _BRACKET_TOL = 1e-12      # relative bracket width at which ``search`` stops
 _SETTLE_ROUNDS = 5        # allocations per candidate while its relay use changes
+_CUT_RTOL = 1e-9          # relative gap at which ``cuts`` stops
+_CUT_STALL = 5            # points in a row that do not narrow the model gap, at which ``cuts`` stops
 
 
 class DualProblem:
@@ -66,16 +75,21 @@ class DualProblem:
       ``used`` and the candidate evaluation need at the same prices;
     - ``used(sel)``: the consumption per budget when row k takes column
       sel[k], at the prices of the last ``scores`` call;
-    - ``evaluate(scores, sel, alpha)``: a candidate from one repair-span
-      iteration, before the prices step;
-    - ``finish(prices, alpha)``: the last candidates; returns (rate,
-      pairing, allocation, diagnostics) of the best one.
 
-    ``solver_individual.SplitProblem`` (split budgets, driven by ``solve``)
-    and ``solver_total.SharedProblem`` (a shared budget, driven by
-    ``search`` through ``candidate(perm)`` and ``result()``) implement the
-    last two.  ``use_at(perm, prices)``, the relay use of a pairing at
-    given prices, lets ``settle`` re-decide a candidate's relay use.
+    and the candidate pipeline of its driver:
+
+    - ``solver_total.SharedProblem`` (a shared budget): ``candidate(perm)``
+      and ``result()`` for ``search``, and for ``solve``
+      ``evaluate(scores, sel, alpha)``, a candidate from one repair-span
+      iteration before the prices step, and ``finish(prices, alpha)``, the
+      last candidates, returning (rate, pairing, allocation, diagnostics)
+      of the best one;
+    - ``solver_individual.SplitProblem`` (split budgets): ``begin()``,
+      ``consider(perm, start)``, ``cut_rows()`` and ``finish()`` for
+      ``cuts``.
+
+    ``use_at(perm, prices)``, the relay use of a pairing at given prices,
+    lets ``settle`` re-decide a candidate's relay use.
     """
 
     price_names: tuple = ()
@@ -287,6 +301,94 @@ def search(problem: DualProblem, cfg: SolverConfig | None = None,
         else:
             mu = math.sqrt(lo * hi)
     rate, perm, alloc, diag = problem.result()
+    return SolveReport(
+        pairing=perm, allocation=alloc, primal_rate=rate,
+        dual_value=problem.bound, iterations=it, trigger_iter=0,
+        converged=converged, trace=trace[:it].copy() if collect_trace else None,
+        diagnostics=diag)
+
+
+def _model_minimum(planes, top, scale):
+    """Minimum of the cut model max_i D_i + g_i . (x - x_i) over the box
+    MU_FLOOR <= x <= top: (model value, point), or None if the LP fails.
+    ``planes`` is (points x_i, values D_i, subgradients g_i); the LP runs
+    in x / top and in values / scale, so that its variables are of order 1."""
+    pts, vals, grads = planes
+    a = np.hstack([grads * top / scale, -np.ones((vals.size, 1))])
+    b = ((grads * pts).sum(axis=1) - vals) / scale
+    box = [(min(MU_FLOOR / t, 1.0), 1.0) for t in top]
+    lp = linprog((0.0, 0.0, 1.0), A_ub=a, b_ub=b, bounds=box + [(None, None)],
+                 method="highs")
+    if lp.status != 0:
+        return None
+    return lp.x[2] * scale, lp.x[:2] * top
+
+
+def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
+         collect_trace: bool = False) -> SolveReport:
+    """Minimize the assignment dual D(mu_s, mu_r) of a split-budget problem
+    by Kelley's cutting planes and report the best candidate with the
+    lowest D found.
+
+    Every assignment evaluation gives D and a subgradient (Ps - used_s,
+    Pr - used_r) at its prices: a cut below the convex D, which the problem
+    keeps (``cut_rows``).  The problem allocates its final candidates first
+    (``begin``), and the driver starts at the prices of the best of them.
+    At each point it solves the assignment and allocates the assignment
+    permutation as a candidate, then moves to the minimum of the cut model
+    over the box that holds the minimum of D: mu_j <= D / P_j, since the
+    assignment is never negative (twice the largest price tried, and at
+    least 1, for a budget P_j of 0).  It stops when the bound is within
+    _CUT_RTOL relative of the larger of the model minimum and the best
+    rate, when the model minimum is the point just tried, when _CUT_STALL
+    points in a row do not narrow the model gap (the bound less the model
+    minimum: where a duality gap remains, or where the LP's tolerance is
+    reached), or after ``cfg.max_iter_hard`` points.  The problem then
+    allocates the rest of its candidates (``finish``).
+
+    ``iterations`` counts the driver's assignment evaluations and
+    ``converged`` says whether a stopping rule held before the cap.  Trace
+    rows are (mu_s, 0, consumption at the assignment, D).
+    """
+    cfg = cfg or SolverConfig()
+    if not _carries_rate(problem.real):
+        return _silent(problem, collect_trace)
+    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
+    budgets = np.array(problem.budgets)
+    x = np.asarray(problem.begin(), dtype=float)
+    x = np.where(np.isfinite(x), np.maximum(x, MU_FLOOR), 1.0)
+    floor = -math.inf
+    last = math.inf   # the model gap, bound - floor, at the last point
+    converged = False
+    stall = it = 0
+    while it < cfg.max_iter_hard:
+        it += 1
+        bound, perm = problem.assign(tuple(x))
+        if trace is not None:
+            trace[it - 1] = (x[0], 0.0, sum(problem.used(perm)), bound)
+        problem.consider(perm, problem.start(perm))
+        bound = problem.bound
+        tol = _CUT_RTOL * abs(bound)
+        if bound - max(floor, problem.best[0]) <= tol:
+            converged = True
+            break
+        stall = stall + 1 if bound - floor > last - tol else 0
+        last = bound - floor
+        if stall >= _CUT_STALL:
+            converged = True
+            break
+        planes = problem.cut_rows()
+        top = np.where(budgets > 0.0, bound / np.where(budgets > 0.0, budgets, 1.0),
+                       np.maximum(2.0 * planes[0].max(axis=0), 1.0))
+        step = _model_minimum(planes, top, max(bound, MU_FLOOR))
+        if step is None:
+            break
+        floor, nxt = max(floor, step[0]), step[1]
+        if np.array_equal(nxt, x):
+            converged = True
+            break
+        x = nxt
+    rate, perm, alloc, diag = problem.finish()
     return SolveReport(
         pairing=perm, allocation=alloc, primal_rate=rate,
         dual_value=problem.bound, iterations=it, trigger_iter=0,

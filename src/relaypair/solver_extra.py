@@ -10,7 +10,7 @@ Both are problems for the dual drivers (``relaypair.dual``).
 ``solve_extra_total`` runs the assignment-dual search (``dual.search``) on
 its one shared budget, through the candidate pipeline of
 ``solver_total.SharedProblem``, and ``solve_extra_individual`` the
-subgradient driver (``dual.solve``) on the split budgets, through that of
+cutting planes (``dual.cuts``) on the split budgets, through that of
 ``solver_individual.SplitProblem``.  A candidate fixes its pairing and
 relay-use pattern, which fixes its channel list (``channel.pair_channels``:
 entry k is pair k's relay or first-slot channel, entry M + k its second
@@ -18,6 +18,9 @@ slot, dead where pair k relays), allocates power on it (water-filling under
 the shared budget, ``extra_individual_allocate`` under split budgets), and
 re-decides relay use at the prices that allocation implies until the
 pattern settles (``DualProblem.settle``; the ``use_at`` hooks re-score).
+Under split budgets a candidate also falls back to its pairing's no-reuse
+refinement, computed once per pairing (``ExtraIndividualProblem.fallback``),
+whose prices also give the relay use that a final candidate starts from.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_extra
-from .dual import search, solve
+from .dual import cuts, search
 from .kernels import _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
 from .rates import weighted_sum_rate
 from .refine import split_solve, zero_crossing_refine
@@ -97,12 +100,13 @@ _SCAN_RATIO_FLOOR = 1e-3                           # floored here
 
 class ExtraIndividualProblem(SplitProblem):
     """A candidate starts from its relay use at the prices its pairing
-    came from."""
+    came from; a final candidate from that at its fallback's prices."""
 
     def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
                  warm_pairing=None):
         super().__init__(real, budgets, warm_pairing)
         self.out = _mode_buffers(real.m, 6)
+        self.fallbacks = {}
 
     def scores(self, prices, alpha):
         real = self.real
@@ -128,23 +132,36 @@ class ExtraIndividualProblem(SplitProblem):
         alloc, rate, ratio, prices = extra_individual_allocate(self.real, perm, use, self.split)
         return rate, alloc, prices, {"ratio": ratio}
 
+    def fallback(self, perm):
+        """The pairing's no-reuse refinement as a candidate, computed once per
+        pairing: (rate, allocation, (mu_s, mu_r), {"ratio": ...})."""
+        key = perm.tobytes()
+        if key not in self.fallbacks:
+            alloc, diag = zero_crossing_refine(self.real, perm, *self.budgets)
+            self.fallbacks[key] = (weighted_sum_rate(self.real, alloc, extra_allowed=True),
+                                   alloc, (diag["mu_s"], diag["mu_r"]),
+                                   {"ratio": diag["ratio"]})
+        return self.fallbacks[key]
+
+    def first(self, perm):
+        prices = self.fallback(perm)[2]
+        if not np.isfinite(prices).all():
+            return np.zeros(self.real.m, dtype=bool)
+        return self.use_at(perm, prices)
+
     def allocate(self, perm, use):
-        real = self.real
         best = self.settle(perm, use, self.allocate_pattern)
         # an allocation with empty second slots is always admissible here,
         # so a plain no-extra refinement can only help as a fallback
-        alt, diag = zero_crossing_refine(real, perm, *self.budgets)
-        alt_rate = weighted_sum_rate(real, alt, extra_allowed=True)
-        if alt_rate > best[0]:
-            best = (alt_rate, alt, (diag["mu_s"], diag["mu_r"]), {"ratio": diag["ratio"]})
-        return best
+        alt = self.fallback(perm)
+        return alt if alt[0] > best[0] else best
 
     def scan(self, perm):
         """The best ``allocate`` of a fixed pairing over the relay-use patterns
         met on a fixed price grid around its no-reuse refinement's prices."""
-        _, diag = zero_crossing_refine(self.real, perm, *self.budgets)
-        mu_s = diag["mu_s"] if 0.0 < diag["mu_s"] < np.inf else 1.0
-        ratio = diag["mu_r"] / mu_s if diag["mu_r"] < np.inf else 1.0
+        mu_s, mu_r = self.fallback(perm)[2]
+        mu_s = mu_s if 0.0 < mu_s < np.inf else 1.0
+        ratio = mu_r / mu_s if mu_r < np.inf else 1.0
         seen = set()
         for scale in _SCAN_SCALES * mu_s:
             for step in _SCAN_STEPS:
@@ -159,4 +176,7 @@ def solve_extra_individual(real: ChannelRealization, budgets: IndividualBudgets,
                            cfg: SolverConfig | None = None, seed: int = 0,
                            warm_pairing: np.ndarray | None = None,
                            collect_trace: bool = False) -> SolveReport:
-    return solve(ExtraIndividualProblem(real, budgets, warm_pairing), cfg, seed, collect_trace)
+    """Kelley's cutting planes on the split budgets, with ``warm_pairing``
+    as one more final candidate.  ``seed`` is kept for the common solver
+    signature; the driver draws nothing."""
+    return cuts(ExtraIndividualProblem(real, budgets, warm_pairing), cfg, collect_trace)

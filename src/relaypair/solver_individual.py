@@ -1,9 +1,9 @@
 """Joint pairing and power allocation under separate source and relay budgets.
 
-The problems for the shared subgradient driver (``relaypair.dual``): two
-power prices (mu_s, mu_r).  ``SplitProblem`` is the candidate pipeline of
-both split-budget problems; ``IndividualProblem`` allocates a candidate by
-the zero-crossing refinement, which pins the source budget and locates the
+The problems for the cutting-plane driver ``dual.cuts``: two power prices
+(mu_s, mu_r).  ``SplitProblem`` is the candidate pipeline of both
+split-budget problems; ``IndividualProblem`` allocates a candidate by the
+zero-crossing refinement, which pins the source budget and locates the
 price ratio where the relay budget binds.  A pair relays when a_rd >= a_sd
 * mu_r/mu_s, and its power is priced at c_s mu_s + c_r mu_r.
 """
@@ -11,11 +11,10 @@ price ratio where the relay budget binds.  A pair relays when a_rd >= a_sd
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .dual import DualProblem, solve
+from .dual import DualProblem, _dual, cuts
 from .kernels import _buffers, ind_scores, ind_tables
-from .pairing import amend_pairing, scp_pairing
+from .pairing import scp_pairing
 from .rates import weighted_sum_rate
 from .refine import zero_crossing_refine
 from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverConfig
@@ -28,9 +27,13 @@ class SplitProblem(DualProblem):
     from, read at the prices of the last ``scores`` call) is allocated by
     ``allocate(perm, start)``, which returns (rate, allocation, (mu_s, mu_r),
     diagnostics).  The assignment at those prices bounds the dual, and its
-    permutation is queued.  ``finish`` adds the rank-matched, identity and
-    warm pairings, drains the queue (at most 3M candidates), and ends with a
-    Nelder-Mead descent on the assignment dual, convex in the two prices.
+    permutation is queued.  Every assignment is kept as a cut for
+    ``dual.cuts``: its prices, dual value and consumption.  ``begin`` adds
+    the rank-matched, identity and warm pairings (each starting from
+    ``first(perm)``) and returns the best candidate's prices; ``finish``
+    drains the queue (at most 3M candidates), tries swaps in the best
+    pairing (``polish``) and returns (rate, pairing, allocation,
+    diagnostics) of the best candidate.
     """
 
     price_names = ("mu_s", "mu_r")
@@ -43,9 +46,23 @@ class SplitProblem(DualProblem):
         self.finals = [scp_pairing(real), self.rows.copy(), *warm]
         self.seen: set[bytes] = set()
         self.pending: list[tuple] = []
+        self.planes: list[tuple] = []
 
     def start(self, perm):
         return perm[:0]
+
+    def first(self, perm):
+        return perm[:0]
+
+    def assign(self, prices):
+        bound, perm = super().assign(prices)
+        self.planes.append((*prices, bound, *self.used(perm)))
+        return bound, perm
+
+    def cut_rows(self):
+        """(prices, dual values, subgradients) of the cuts so far."""
+        rows = np.array(self.planes)
+        return rows[:, :2], rows[:, 2], np.array(self.budgets) - rows[:, 3:]
 
     def consider(self, perm, start):
         key = perm.tobytes() + start.tobytes()
@@ -58,27 +75,47 @@ class SplitProblem(DualProblem):
             self.pending.append((nxt, self.start(nxt)))
         self.keep(rate, perm, alloc, prices, diag)
 
-    def evaluate(self, scores, sel, alpha):
-        perm = amend_pairing(scores, sel, alpha)
-        self.consider(perm, self.start(perm))
+    def begin(self):
+        for perm in self.finals:
+            self.consider(perm, self.first(perm))
+        return self.best[3]
 
-    def finish(self, prices, alpha):
-        self.scores(prices, alpha)   # every start is read here, before any re-scoring
-        for perm, start in [(perm, self.start(perm)) for perm in self.finals]:
-            self.consider(perm, start)
+    def finish(self):
         # each refined candidate's prices give an assignment permutation,
         # itself worth allocating (capped so that it cannot chain forever)
         for _ in range(3 * self.real.m):
             if not self.pending:
                 break
             self.consider(*self.pending.pop())
-
-        rate, perm, alloc, best_prices, diag = self.best
-        if np.isfinite(best_prices).all():
-            minimize(lambda x: self.assign((abs(x[0]), abs(x[1])))[0],
-                     np.maximum(best_prices, 1e-6), method="Nelder-Mead",
-                     options={"maxfev": 120, "xatol": 1e-6, "fatol": 1e-12})
+        self.polish()
+        rate, perm, alloc, _, diag = self.best
         return rate, perm, alloc, diag
+
+    def polish(self):
+        """Swap the partners of two rows of the best pairing while that can
+        help.  At the best candidate's prices the Lagrangian of a pairing
+        bounds its rate, so only the swaps whose Lagrangian exceeds the best
+        rate are allocated: at most M, largest first, in each round."""
+        while True:
+            rate, perm, _, prices, _ = self.best
+            if not np.isfinite(prices).all():
+                return
+            scores = self.scores(prices, self.no_alpha)
+            own = scores[self.rows, perm]
+            cross = scores[:, perm]
+            gain = cross + cross.T - own[:, None] - own[None, :]
+            base = _dual(own.sum(), prices, self.budgets, 0.0)
+            k, l = np.nonzero(np.triu(base + gain > rate + 1e-9 * abs(rate), 1))
+            order = np.argsort(-gain[k, l], kind="stable")[:self.real.m]
+            tried = []
+            for i in order:
+                swap = perm.copy()
+                swap[[k[i], l[i]]] = swap[[l[i], k[i]]]
+                tried.append((swap, self.start(swap)))
+            for swap, start in tried:
+                self.consider(swap, start)
+            if self.best[0] <= rate:
+                return
 
 
 class IndividualProblem(SplitProblem):
@@ -110,4 +147,6 @@ class IndividualProblem(SplitProblem):
 def solve_individual(real: ChannelRealization, budgets: IndividualBudgets,
                      cfg: SolverConfig | None = None, seed: int = 0,
                      collect_trace: bool = False) -> SolveReport:
-    return solve(IndividualProblem(real, budgets), cfg, seed, collect_trace)
+    """Kelley's cutting planes on the split budgets.  ``seed`` is kept for
+    the common solver signature; the driver draws nothing."""
+    return cuts(IndividualProblem(real, budgets), cfg, collect_trace)

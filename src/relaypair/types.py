@@ -135,16 +135,18 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits of the two dual drivers of ``relaypair.dual``.
+    """Iteration limits of the dual drivers of ``relaypair.dual``.
 
     The shared-budget solvers run the assignment-dual search
-    (``dual.search``) and the split-budget solvers the subgradient method
-    (``dual.solve``).  ``max_iter_hard`` caps both: the subgradient
-    iterations and the search's assignment evaluations.  ``min_iter`` is
-    read by the subgradient method only, as is the solvers' ``seed``
-    argument (its initial prices); the search and the baselines draw nothing.
-    The step size, stopping threshold, repair-span length and initial dual
-    range are constants of ``relaypair.dual``."""
+    (``dual.search``) and the split-budget solvers the cutting planes
+    (``dual.cuts``).  ``max_iter_hard`` caps the assignment evaluations of
+    both: the search's steps and the cuts.  It also caps the iterations of
+    the subgradient method (``dual.solve``), the reference path, which
+    alone reads ``min_iter`` and a ``seed`` (its initial prices); the
+    solvers, the search, the cuts and the baselines draw nothing.  The
+    stopping thresholds, and the subgradient method's step size,
+    repair-span length and initial dual range, are constants of
+    ``relaypair.dual``."""
 
     max_iter_hard: int = 30000
     # the raw stopping rule can fire on a momentarily small subgradient, so

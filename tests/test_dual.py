@@ -1,9 +1,11 @@
-"""The two dual drivers: input without a channel that can carry rate, the
+"""The dual drivers: input without a channel that can carry rate, the
 assignment-dual search of the shared-budget problems against the
-subgradient method, generated instances of all four problems against the
-brute-force optimum (the reference value with extra-direct reuse under
-split budgets), and invariants of all four solvers within the reported
-gaps."""
+subgradient method, the cutting planes of the split-budget problems on
+gains spanning many decades, generated instances of all four problems
+against the brute-force optimum (the reference value with extra-direct
+reuse under split budgets) and of the split-budget solvers against the
+baselines and each other, and invariants of all four solvers within the
+reported gaps."""
 
 import math
 
@@ -13,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaypair.dual as dual
-from relaypair import (ChannelRealization, IndividualBudgets, assert_feasible,
-                       evaluate_baseline, exhaustive_extra_total,
-                       exhaustive_individual, exhaustive_total,
+from relaypair import (BaselineKind, ChannelRealization, IndividualBudgets,
+                       assert_feasible, baseline_pairing, evaluate_baseline,
+                       exhaustive_extra_total, exhaustive_individual, exhaustive_total,
                        reference_extra_individual, solve_extra_individual,
                        solve_extra_total, solve_individual, solve_total,
                        validate_allocation)
@@ -123,6 +125,24 @@ def test_silent_pattern_is_a_zero_rate_candidate():
                             extra_allowed=solver is solve_extra_total)
 
 
+def test_gains_spanning_decades_take_a_few_dozen_cuts():
+    # the subgradient method ran 8320 iterations on this instance from seed 0
+    # (phase 1 stopped at 7564); the instance has a true duality gap of
+    # 3.13e-7 relative without reuse, and none with it
+    real = ChannelRealization(m=2, a_sd=[0.0, 1.19e-6], a_sr=[1870.0, 5.49e5],
+                              a_rd=[11.98, 6.86e-3], w=[0.793, 1.367])
+    budgets = IndividualBudgets(8.41, 0.139)
+    ind = solve_individual(real, budgets)
+    assert ind.iterations <= 40
+    assert ind.primal_rate == pytest.approx(exhaustive_individual(real, budgets)[0], rel=1e-12)
+    assert 0.0 <= ind.gap <= 3.13e-7 * ind.primal_rate
+    extra = solve_extra_individual(real, budgets, warm_pairing=ind.pairing)
+    assert extra.iterations <= 40
+    ref = reference_extra_individual(real, budgets)[0]
+    assert extra.primal_rate == pytest.approx(ref, rel=1e-12)
+    assert 0.0 <= extra.gap <= 1e-9 * extra.primal_rate
+
+
 PROFILES = {"3/1/3": dict(sr=3.0, sd=1.0, rd=3.0),
             "5/1/1": dict(sr=5.0, sd=1.0, rd=1.0),
             "1/1/5": dict(sr=1.0, sd=1.0, rd=5.0)}
@@ -208,6 +228,22 @@ def test_solve_extra_individual_on_generated_input(real, p_source, p_relay):
     warm = solve_individual(real, budgets, cfg=cfg).pairing
     _check(real, solve_extra_individual(real, budgets, cfg=cfg, warm_pairing=warm), cfg,
            reference_extra_individual(real, budgets)[0], True, budgets=budgets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_realizations(4), _budget, _budget)
+def test_split_budget_solvers_never_lose_to_a_baseline_or_the_no_reuse_solver(
+        real, p_source, p_relay):
+    # every baseline pairing is a candidate the solver could allocate, and
+    # the warm start's pairing is one of the reuse solver's candidates
+    budgets = IndividualBudgets(p_source, p_relay)
+    ind = solve_individual(real, budgets)
+    rate = ind.primal_rate
+    for kind in BaselineKind:
+        base = evaluate_baseline(real, baseline_pairing(real, kind), budgets=budgets).primal_rate
+        assert rate >= base - 1e-9 * max(1.0, base), kind
+    extra = solve_extra_individual(real, budgets, warm_pairing=ind.pairing).primal_rate
+    assert extra >= rate - 1e-9 * max(1.0, rate)
 
 
 @settings(max_examples=40, deadline=None)
