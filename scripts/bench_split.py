@@ -12,9 +12,9 @@ written too.
 The instance set: M = 4, 8, 16 with 60 draws each and M = 32 with 30,
 ``sample_realization`` seed 9000 + t, Rician K = 1 with the mean-square
 profiles SR/SD/RD = 3/1/3, 5/1/1 and 1/1/5 rotating over t, linear-ramp
-weights on odd t, budgets (Ps, Pr) = (4, 1), solver seed t.  The warm
-start of ``solve_extra_individual`` is a ``solve_individual`` run on the
-same instance; its time is not counted in the extra-direct solve.
+weights on odd t, budgets (Ps, Pr) = (4, 1).  The warm start of
+``solve_extra_individual`` is a ``solve_individual`` run on the same
+instance; its time is not counted in the extra-direct solve.
 
 Usage::
 
@@ -63,9 +63,9 @@ def run_tree() -> list[dict]:
                               else rp.WeightRule.ALL_ONE)
         real = rp.sample_realization(cfg, 9000 + t)
         t0 = time.perf_counter()
-        ind = rp.solve_individual(real, budgets, seed=t)
+        ind = rp.solve_individual(real, budgets)
         t1 = time.perf_counter()
-        extra = rp.solve_extra_individual(real, budgets, seed=t, warm_pairing=ind.pairing)
+        extra = rp.solve_extra_individual(real, budgets, warm_pairing=ind.pairing)
         t2 = time.perf_counter()
         for name, rep, dt, reuse in (("individual", ind, t1 - t0, False),
                                      ("extra_individual", extra, t2 - t1, True)):
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     after = _tree_records(here)
     result = {"instances": "M = 4/8/16 x 60, M = 32 x 30; sample_realization seed 9000+t, "
                            "profiles 3/1/3, 5/1/1, 1/1/5 rotating, ramp weights on odd t, "
-                           "budgets (4, 1), solver seed t; extra-direct solves warm-started "
+                           "budgets (4, 1); extra-direct solves warm-started "
                            "from solve_individual, whose time is not counted in theirs",
               "tolerance": TOL, "by_m_and_solver": compare(before, after)}
     args.out.write_text(json.dumps(result, indent=1) + "\n")

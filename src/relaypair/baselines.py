@@ -58,5 +58,4 @@ def evaluate_baseline(real: ChannelRealization, pairing: np.ndarray, *,
         rate = weighted_sum_rate(real, alloc, extra_allowed=False)
         diag = {key: diag[key] for key in ("mu_s", "mu_r", "ratio")}
     return SolveReport(pairing=perm, allocation=alloc, primal_rate=rate,
-                       dual_value=np.nan, iterations=0, trigger_iter=0,
-                       diagnostics=diag)
+                       dual_value=np.nan, iterations=0, diagnostics=diag)

@@ -58,8 +58,7 @@ def cmd_solve(args) -> int:
                                 budgets=budgets, extra_direct=args.extra_direct)
     else:
         rep = solve_proposed(real, total_budget=total, budgets=budgets,
-                             extra_direct=args.extra_direct, seed=args.seed,
-                             collect_trace=bool(args.trace))
+                             extra_direct=args.extra_direct, collect_trace=bool(args.trace))
     assert_feasible(real, rep.allocation, total_budget=total, budgets=budgets,
                     extra_allowed=args.extra_direct)
 
@@ -123,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=[k.value for k in BaselineKind])
     p.add_argument("--trace", help="write the dual trace CSV here: one row per "
                    "assignment evaluation of the dual driver")
-    p.add_argument("--seed", type=int, default=0, help="kept for compatibility; "
-                   "no solver or baseline draws a random number")
     p.add_argument("--bits", action="store_true", help="report rates in bits")
     p.set_defaults(func=cmd_solve)
 

@@ -11,8 +11,9 @@ Minimized over alpha, the dual at fixed power prices is a max-weight
 assignment on the alpha-free scores (``DualProblem.assign``, a LAP solved
 by ``linear_sum_assignment``; Crouse, IEEE TAES 2016).  What is left is a
 convex function D of the power prices, with subgradient the budgets minus
-the consumption at the assignment.  Two drivers minimize it, and every
-assignment permutation they meet is a candidate:
+the consumption at the assignment.  (The paper instead takes subgradient
+steps on all the prices, alpha included.)  Two drivers minimize it, and
+every assignment permutation they meet is a candidate:
 
 - ``search`` drives the shared-budget problems: a bracketed 1-D search on
   D(mu) = assignment(mu) + mu P, where the water price of each candidate
@@ -24,20 +25,6 @@ assignment permutation they meet is a candidate:
 
 Neither draws a random number.  ``SolverConfig.max_iter_hard`` caps their
 assignment evaluations.
-
-``solve`` is the paper's subgradient method, kept as the reference for the
-shared-budget problems.  At fixed prices every first-slot subcarrier picks
-its best-scoring partner, which gives the dual function, and the prices
-take a subgradient step of length _STEP_SCALE / sqrt(i).  ``iterate`` runs
-its two phases: phase 1 stops once every price moves by less than
-_EPS_CONVERGE relative to the largest one (so a price pinned near 0
-settles too) on three iterations in a row, after at least ``min_iter`` of
-them, or at the hard cap.  The repair span then runs _EXTRA_ITER_FRAC more
-iterations and hands each iteration's scores and column choice to the
-problem, which repairs them into a feasible candidate.  ``solve`` draws the
-initial prices from its seed, runs ``iterate``, lets the problem add its
-own final candidates, and reports the best primal with the lowest dual
-bound seen.
 
 A problem (a ``DualProblem`` subclass) supplies its budgets, the score
 matrix at given prices, the consumption per budget at the chosen columns,
@@ -55,11 +42,6 @@ from .kernels import MU_FLOOR
 from .pairing import scp_pairing
 from .types import Allocation, ChannelRealization, SolveReport, SolverConfig
 
-_EPS_CONVERGE = 0.01      # price step, relative to the largest price, that counts as settled
-_EXTRA_ITER_FRAC = 0.10   # repair span, as a fraction of the phase-1 length
-_STEP_SCALE = 0.05        # step length at iteration i: _STEP_SCALE / sqrt(i)
-_DUAL_INIT_LOW = 0.0      # initial prices are uniform in [low, high]
-_DUAL_INIT_HIGH = 2.0
 _BRACKET_TOL = 1e-12      # relative bracket width at which ``search`` stops
 _SETTLE_ROUNDS = 5        # allocations per candidate while its relay use changes
 _CUT_RTOL = 1e-9          # relative gap at which ``cuts`` stops
@@ -69,9 +51,9 @@ _CUT_STALL = 5            # points in a row that do not narrow the model gap, at
 class DualProblem:
     """One problem as the driver sees it.
 
-    Subclasses set ``price_names`` (one per budget) and implement:
+    Subclasses implement:
 
-    - ``scores(prices, alpha)``: the M x M pair scores, keeping what
+    - ``scores(prices)``: the M x M alpha-free pair scores, keeping what
       ``used`` and the candidate evaluation need at the same prices;
     - ``used(sel)``: the consumption per budget when row k takes column
       sel[k], at the prices of the last ``scores`` call;
@@ -79,11 +61,7 @@ class DualProblem:
     and the candidate pipeline of its driver:
 
     - ``solver_total.SharedProblem`` (a shared budget): ``candidate(perm)``
-      and ``result()`` for ``search``, and for ``solve``
-      ``evaluate(scores, sel, alpha)``, a candidate from one repair-span
-      iteration before the prices step, and ``finish(prices, alpha)``, the
-      last candidates, returning (rate, pairing, allocation, diagnostics)
-      of the best one;
+      and ``result()`` for ``search``;
     - ``solver_individual.SplitProblem`` (split budgets): ``begin()``,
       ``consider(perm, start)``, ``cut_rows()`` and ``finish()`` for
       ``cuts``.
@@ -92,14 +70,11 @@ class DualProblem:
     lets ``settle`` re-decide a candidate's relay use.
     """
 
-    price_names: tuple = ()
-
     def __init__(self, real: ChannelRealization, budgets: tuple):
         self.real = real
         self.budgets = budgets
         self.rows = np.arange(real.m)
-        self.no_alpha = np.zeros(real.m)
-        self.bound = np.inf   # lowest dual bound found outside the iteration
+        self.bound = np.inf   # lowest dual bound found
         self.best = None      # (rate, ...) of the best candidate so far
 
     def keep(self, rate, *candidate) -> None:
@@ -124,80 +99,21 @@ class DualProblem:
             use = nxt
         return best
 
-    def dual_at(self, prices, alpha) -> float:
-        """Dual function: every row takes its best-scoring column."""
-        scores = self.scores(prices, alpha)
-        return _dual(scores.max(axis=1).sum(), prices, self.budgets, alpha.sum())
-
     def assign(self, prices):
         """The dual minimized over alpha at fixed power prices is a
         max-weight assignment on the alpha-free scores.  Lowers the bound
         and returns (bound, assignment permutation)."""
-        scores = self.scores(prices, self.no_alpha)
+        scores = self.scores(prices)
         rows, perm = linear_sum_assignment(-scores)
-        bound = _dual(scores[rows, perm].sum(), prices, self.budgets, 0.0)
+        bound = _dual(scores[rows, perm].sum(), prices, self.budgets)
         self.bound = min(self.bound, bound)
         return bound, perm.astype(np.int64)
 
 
-def _dual(row_sum, prices, budgets, alpha_sum):
+def _dual(row_sum, prices, budgets):
     for price, budget in zip(prices, budgets):
         row_sum += max(price, MU_FLOOR) * budget
-    return row_sum + alpha_sum
-
-
-def _alpha_step(alpha, counts, step):
-    """Subgradient step on the pairing prices (in place); returns the step
-    length relative to the new prices."""
-    d = step * (1.0 - counts)
-    alpha -= d
-    return math.sqrt(d @ d) / max(math.sqrt(alpha @ alpha), MU_FLOOR)
-
-
-def iterate(problem: DualProblem, prices, alpha: np.ndarray,
-            cfg: SolverConfig, trace: np.ndarray | None = None):
-    """Phase 1, then the repair span, from the given prices and alpha.
-
-    Updates alpha in place and fills trace rows (first price, |alpha|,
-    total consumption, dual value) unless trace is None.  Returns
-    (trigger_iter, iterations, prices, dual_min, converged).
-    """
-    budgets = problem.budgets
-    rows = problem.rows
-    m = rows.shape[0]
-    stop = cfg.max_iter_hard
-    trigger = None
-    dual_min = np.inf
-    consec = 0
-    i = 0
-    while i < stop:
-        i += 1
-        scores = problem.scores(prices, alpha)
-        sel = scores.argmax(axis=1)
-        used = problem.used(sel)
-        dual = _dual(scores[rows, sel].sum(), prices, budgets, alpha.sum())
-        dual_min = min(dual_min, dual)
-        if trace is not None:
-            trace[i - 1] = (prices[0], math.sqrt(alpha @ alpha), sum(used), dual)
-        if trigger is not None:
-            problem.evaluate(scores, sel, alpha)
-
-        step = _STEP_SCALE / math.sqrt(i)
-        new = [max(p - step * (b - u), 0.0) for p, b, u in zip(prices, budgets, used)]
-        al_rel = _alpha_step(alpha, np.bincount(sel, minlength=m), step)
-        if trigger is None:
-            ok = (al_rel < _EPS_CONVERGE
-                  and max(abs(n - p) for n, p in zip(new, prices))
-                  / max(max(new), MU_FLOOR) < _EPS_CONVERGE)
-            consec = consec + 1 if ok else 0
-            if consec >= 3 and i >= cfg.min_iter:
-                trigger = i
-                span = max(math.floor((1.0 + _EXTRA_ITER_FRAC) * i), i + 1)
-                stop = min(span, cfg.max_iter_hard)
-        prices = new
-    if trigger is None:
-        return i, i, prices, dual_min, False
-    return trigger, i, prices, dual_min, True
+    return row_sum
 
 
 def _carries_rate(real: ChannelRealization) -> bool:
@@ -213,34 +129,8 @@ def _silent(problem: DualProblem, collect_trace: bool) -> SolveReport:
     rate 0: the zero allocation, with the exact bound 0."""
     alloc = Allocation.zeros(problem.real.m)
     return SolveReport(pairing=alloc.pairing.copy(), allocation=alloc,
-                       primal_rate=0.0, dual_value=0.0, iterations=0,
-                       trigger_iter=0, converged=True,
+                       primal_rate=0.0, dual_value=0.0, iterations=0, converged=True,
                        trace=np.zeros((0, 4)) if collect_trace else None)
-
-
-def solve(problem: DualProblem, cfg: SolverConfig | None = None, seed: int = 0,
-          collect_trace: bool = False) -> SolveReport:
-    """Run the subgradient method on one problem and report the best primal."""
-    cfg = cfg or SolverConfig()
-    real = problem.real
-    if not _carries_rate(real):
-        return _silent(problem, collect_trace)
-
-    rng = np.random.default_rng(seed)
-    prices = [float(rng.uniform(_DUAL_INIT_LOW, _DUAL_INIT_HIGH))
-              for _ in problem.budgets]
-    alpha = rng.uniform(_DUAL_INIT_LOW, _DUAL_INIT_HIGH, real.m)
-    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
-    trigger, it, prices, dual_min, converged = iterate(problem, prices, alpha,
-                                                       cfg, trace)
-    rate, perm, alloc, diag = problem.finish(prices, alpha)
-    return SolveReport(
-        pairing=perm, allocation=alloc, primal_rate=rate,
-        dual_value=min(dual_min, problem.bound), iterations=it,
-        trigger_iter=trigger, converged=converged,
-        trace=trace[:it].copy() if collect_trace else None,
-        diagnostics={**dict(zip(problem.price_names, prices)),
-                     "alpha": alpha.copy(), **diag})
 
 
 def search(problem: DualProblem, cfg: SolverConfig | None = None,
@@ -303,7 +193,7 @@ def search(problem: DualProblem, cfg: SolverConfig | None = None,
     rate, perm, alloc, diag = problem.result()
     return SolveReport(
         pairing=perm, allocation=alloc, primal_rate=rate,
-        dual_value=problem.bound, iterations=it, trigger_iter=0,
+        dual_value=problem.bound, iterations=it,
         converged=converged, trace=trace[:it].copy() if collect_trace else None,
         diagnostics=diag)
 
@@ -391,6 +281,6 @@ def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
     rate, perm, alloc, diag = problem.finish()
     return SolveReport(
         pairing=perm, allocation=alloc, primal_rate=rate,
-        dual_value=problem.bound, iterations=it, trigger_iter=0,
+        dual_value=problem.bound, iterations=it,
         converged=converged, trace=trace[:it].copy() if collect_trace else None,
         diagnostics=diag)

@@ -83,19 +83,18 @@ def _validate(sc, real, alloc):
 
 def solve_proposed(real, *, total_budget: float | None = None,
                    budgets: IndividualBudgets | None = None, extra_direct: bool = False,
-                   cfg: SolverConfig | None = None, seed: int = 0,
+                   cfg: SolverConfig | None = None,
                    collect_trace: bool = False) -> SolveReport:
     """The proposed solver for one constraint; with extra-direct reuse under
     split budgets it starts from the ``solve_individual`` pairing."""
     if total_budget is not None:
         fn = solve_extra_total if extra_direct else solve_total
-        return fn(real, total_budget, cfg=cfg, seed=seed, collect_trace=collect_trace)
+        return fn(real, total_budget, cfg=cfg, collect_trace=collect_trace)
     if not extra_direct:
-        return solve_individual(real, budgets, cfg=cfg, seed=seed,
-                                collect_trace=collect_trace)
-    warm = solve_individual(real, budgets, cfg=cfg, seed=seed)
-    return solve_extra_individual(real, budgets, cfg=cfg, seed=seed,
-                                  warm_pairing=warm.pairing, collect_trace=collect_trace)
+        return solve_individual(real, budgets, cfg=cfg, collect_trace=collect_trace)
+    warm = solve_individual(real, budgets, cfg=cfg)
+    return solve_extra_individual(real, budgets, cfg=cfg, warm_pairing=warm.pairing,
+                                  collect_trace=collect_trace)
 
 
 def solve_oracle(real, *, total_budget: float | None = None,
@@ -135,7 +134,7 @@ def run_trial(sc: Scenario, base_seed: int, m: int, trial: int,
         t0 = time.perf_counter()
         if scheme in ("Proposed", "DualBound"):
             if proposed is None:
-                proposed = solve_proposed(real, **limits, cfg=cfg, seed=seed)
+                proposed = solve_proposed(real, **limits, cfg=cfg)
                 _validate(sc, real, proposed.allocation)
             dt = time.perf_counter() - t0
             if scheme == "Proposed":
@@ -216,7 +215,7 @@ def concavity_probe(real, p_grid, use_oracle: bool | None = None,
         if use_oracle:
             rates[i] = exhaustive_total(real, float(p))[0]
         else:
-            rates[i] = solve_total(real, float(p), cfg=cfg, seed=0).primal_rate
+            rates[i] = solve_total(real, float(p), cfg=cfg).primal_rate
     second = rates[2:] - 2.0 * rates[1:-1] + rates[:-2]
     return {"p_grid": p_grid, "rates": rates,
             "max_positive_second_difference": float(max(second.max(), 0.0)),

@@ -1,10 +1,10 @@
-"""Hot numeric kernels: pair scores for the dual iteration, and water-filling.
+"""Hot numeric kernels: pair scores for the dual drivers, and water-filling.
 
 Everything here is plain vectorized numpy.  The score kernels build the
-O(M^2) pair-score matrices that the subgradient driver (``relaypair.dual``)
-evaluates every iteration and that dominate the solver runtime, so each
-problem allocates its M x M buffers once and the kernels write into them
-(the ``out`` keyword) instead of allocating fresh matrices every iteration.
+O(M^2) pair-score matrices that the dual drivers (``relaypair.dual``)
+evaluate at every step, so each problem allocates its M x M buffers once
+and the kernels write into them (the ``out`` keyword) instead of
+allocating fresh matrices at every step.
 Water-filling and the source-pinned ``nu_solve`` share one exact water-level
 kernel (``_water``): channels are sorted by the level at which they switch
 on, cumulative sums give the level at which the active set meets the
@@ -122,8 +122,8 @@ def waterfill_residual(gains, weights, budget, powers):
 
 # -- total power constraint -------------------------------------------------
 
-def total_scores(w, gains, mu, alpha, inv=None, out=None):
-    """Per-pair score X and candidate power at duals (mu, alpha).
+def total_scores(w, gains, mu, inv=None, out=None):
+    """Per-pair score X and candidate power at price mu.
 
     ``inv`` is ``_inv_gain(gains)`` if the caller keeps it; ``out`` is three
     M x M buffers, the first two of which receive (scores, powers).
@@ -133,7 +133,6 @@ def total_scores(w, gains, mu, alpha, inv=None, out=None):
         inv = _inv_gain(gains)
     _relay_terms(w.reshape(-1, 1), gains, inv, max(mu, MU_FLOOR),
                  powers, scores, work)
-    scores -= alpha
     return scores, powers
 
 
@@ -167,7 +166,7 @@ def ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r, out=None):
     return gains, c_s, c_r
 
 
-def ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha, out=None):
+def ind_scores(w, gains, c_s, c_r, mu_s, mu_r, out=None):
     """Per-pair score and power with pair power priced at c_s mu_s + c_r mu_r.
 
     ``out`` is three M x M buffers, the first two of which receive
@@ -179,7 +178,6 @@ def ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha, out=None):
     work += powers
     _relay_terms(w.reshape(-1, 1), gains, _inv_gain(gains, out=scores), work,
                  powers, scores, work)
-    scores -= alpha
     return scores, powers
 
 
@@ -193,16 +191,15 @@ def direct_slot_terms(w, a_sd, mu):
     return p, g
 
 
-def _pick_mode(y_r, y_d, relay_ok, use_relay, alpha):
+def _pick_mode(y_r, y_d, relay_ok, use_relay):
     """use_relay = relay_ok & (y_r > y_d); y_d becomes the score matrix."""
     np.greater(y_r, y_d, out=use_relay)
     use_relay &= relay_ok
     np.copyto(y_d, y_r, where=use_relay)
-    y_d -= alpha
     return y_d
 
 
-def extra_scores(w, a_sd, gains_relay, relay_ok, mu, alpha, inv=None, out=None):
+def extra_scores(w, a_sd, gains_relay, relay_ok, mu, inv=None, out=None):
     """Scores for the joint pairing / relay-use selection under a total budget.
 
     relay_ok[k, m] marks pairs where relay use is admissible (a_sr > a_sd).
@@ -218,11 +215,11 @@ def extra_scores(w, a_sd, gains_relay, relay_ok, mu, alpha, inv=None, out=None):
                  p1, y_r, y_d)
     p2, g2 = direct_slot_terms(w, a_sd, mu)
     np.add(g2.reshape(-1, 1), g2.reshape(1, -1), out=y_d)
-    scores = _pick_mode(y_r, y_d, relay_ok, use_relay, alpha)
+    scores = _pick_mode(y_r, y_d, relay_ok, use_relay)
     return scores, use_relay, p1, p2
 
 
-def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=None):
+def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, out=None):
     """Extra-direct scores under individual budgets.
 
     The relay-side contribution prices power at c_s mu_s + c_r mu_r; the
@@ -240,7 +237,7 @@ def extra_ind_scores(w, a_sd, a_sr, a_rd, mu_s, mu_r, alpha, out=None):
                  p1, y_r, y_d)
     p2, g2 = direct_slot_terms(w, a_sd, mu_s)
     np.add(g2.reshape(-1, 1), g2.reshape(1, -1), out=y_d)
-    scores = _pick_mode(y_r, y_d, (a_sr > a_sd).reshape(-1, 1), use_relay, alpha)
+    scores = _pick_mode(y_r, y_d, (a_sr > a_sd).reshape(-1, 1), use_relay)
     return scores, use_relay, p1, c_s, c_r, p2
 
 

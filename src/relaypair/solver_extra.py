@@ -51,10 +51,10 @@ class ExtraTotalProblem(SharedProblem):
         # relay use at the last scores: all direct before the first
         self.use_relay = np.zeros((real.m, real.m), dtype=bool)
 
-    def scores(self, prices, alpha):
+    def scores(self, prices):
         scores, self.use_relay, self.p1, self.p2 = extra_scores(
             self.real.w, self.real.a_sd, self.gains_relay, self.relay_ok,
-            prices[0], alpha, inv=self.inv, out=self.out)
+            prices[0], inv=self.inv, out=self.out)
         return scores
 
     def used(self, sel):
@@ -63,16 +63,14 @@ class ExtraTotalProblem(SharedProblem):
                 + (self.p2 + self.p2[sel])[~relay].sum(),)
 
     def use_at(self, perm, prices):
-        # relay use does not depend on the pairing prices
-        self.scores(prices, self.no_alpha)
+        self.scores(prices)
         return self.use_relay[self.rows, perm]
 
 
 def solve_extra_total(real: ChannelRealization, budget: float,
-                      cfg: SolverConfig | None = None, seed: int = 0,
+                      cfg: SolverConfig | None = None,
                       collect_trace: bool = False) -> SolveReport:
-    """The assignment-dual search on one shared budget.  ``seed`` is kept
-    for the common solver signature; the search draws nothing."""
+    """The assignment-dual search on one shared budget."""
     return search(ExtraTotalProblem(real, budget), cfg, collect_trace)
 
 
@@ -108,10 +106,10 @@ class ExtraIndividualProblem(SplitProblem):
         self.out = _mode_buffers(real.m, 6)
         self.fallbacks = {}
 
-    def scores(self, prices, alpha):
+    def scores(self, prices):
         real = self.real
         scores, self.use_relay, self.p1, self.c_s, self.c_r, self.p2 = extra_ind_scores(
-            real.w, real.a_sd, real.a_sr, real.a_rd, *prices, alpha, out=self.out)
+            real.w, real.a_sd, real.a_sr, real.a_rd, *prices, out=self.out)
         return scores
 
     def used(self, sel):
@@ -125,7 +123,7 @@ class ExtraIndividualProblem(SplitProblem):
         return self.use_relay[self.rows, perm]
 
     def use_at(self, perm, prices):
-        self.scores(prices, self.no_alpha)
+        self.scores(prices)
         return self.start(perm)
 
     def allocate_pattern(self, perm, use):
@@ -173,10 +171,9 @@ class ExtraIndividualProblem(SplitProblem):
 
 
 def solve_extra_individual(real: ChannelRealization, budgets: IndividualBudgets,
-                           cfg: SolverConfig | None = None, seed: int = 0,
+                           cfg: SolverConfig | None = None,
                            warm_pairing: np.ndarray | None = None,
                            collect_trace: bool = False) -> SolveReport:
     """Kelley's cutting planes on the split budgets, with ``warm_pairing``
-    as one more final candidate.  ``seed`` is kept for the common solver
-    signature; the driver draws nothing."""
+    as one more final candidate."""
     return cuts(ExtraIndividualProblem(real, budgets, warm_pairing), cfg, collect_trace)

@@ -36,8 +36,6 @@ class SplitProblem(DualProblem):
     diagnostics) of the best candidate.
     """
 
-    price_names = ("mu_s", "mu_r")
-
     def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
                  warm_pairing=None):
         super().__init__(real, (budgets.p_source, budgets.p_relay))
@@ -100,11 +98,11 @@ class SplitProblem(DualProblem):
             rate, perm, _, prices, _ = self.best
             if not np.isfinite(prices).all():
                 return
-            scores = self.scores(prices, self.no_alpha)
+            scores = self.scores(prices)
             own = scores[self.rows, perm]
             cross = scores[:, perm]
             gain = cross + cross.T - own[:, None] - own[None, :]
-            base = _dual(own.sum(), prices, self.budgets, 0.0)
+            base = _dual(own.sum(), prices, self.budgets)
             k, l = np.nonzero(np.triu(base + gain > rate + 1e-9 * abs(rate), 1))
             order = np.argsort(-gain[k, l], kind="stable")[:self.real.m]
             tried = []
@@ -125,13 +123,13 @@ class IndividualProblem(SplitProblem):
         self.tables = _buffers(real.m, 3)
         self.out = _buffers(real.m, 3)
 
-    def scores(self, prices, alpha):
+    def scores(self, prices):
         real = self.real
         mu_s, mu_r = prices
         gains, self.c_s, self.c_r = ind_tables(real.a_sd, real.a_sr, real.a_rd,
                                                mu_s, mu_r, out=self.tables)
         scores, self.powers = ind_scores(real.w, gains, self.c_s, self.c_r,
-                                         mu_s, mu_r, alpha, out=self.out)
+                                         mu_s, mu_r, out=self.out)
         return scores
 
     def used(self, sel):
@@ -145,8 +143,7 @@ class IndividualProblem(SplitProblem):
 
 
 def solve_individual(real: ChannelRealization, budgets: IndividualBudgets,
-                     cfg: SolverConfig | None = None, seed: int = 0,
+                     cfg: SolverConfig | None = None,
                      collect_trace: bool = False) -> SolveReport:
-    """Kelley's cutting planes on the split budgets.  ``seed`` is kept for
-    the common solver signature; the driver draws nothing."""
+    """Kelley's cutting planes on the split budgets."""
     return cuts(IndividualProblem(real, budgets), cfg, collect_trace)

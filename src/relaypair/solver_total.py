@@ -5,10 +5,7 @@ one power price mu, and a candidate that water-fills the channel list of
 its permutation.  ``TotalProblem`` scores pairs by ``kernels.total_scores``.
 ``solve_total`` runs the assignment-dual search (``dual.search``): at each
 mu the max-weight assignment bounds the dual, and its permutation is the
-next candidate.  The paper's subgradient method stays reachable as
-``dual.solve(TotalProblem(real, budget))``; its repair candidates re-
-evaluate the dual at their exact water price, and it ends with the same
-search.
+next candidate.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import numpy as np
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_total
 from .dual import DualProblem, search
 from .kernels import _buffers, _inv_gain, total_scores
-from .pairing import amend_pairing
 from .rates import weighted_sum_rate
 from .types import ChannelRealization, SolveReport, SolverConfig
 from .waterfill import waterfill_or_zero
@@ -28,7 +24,6 @@ class SharedProblem(DualProblem):
     """Subclasses keep ``use_relay``, the M x M relay use at the last
     scores, and set ``extra`` when a direct pair reuses its second slot."""
 
-    price_names = ("mu",)
     extra = False
 
     def __init__(self, real: ChannelRealization, budget: float):
@@ -49,14 +44,6 @@ class SharedProblem(DualProblem):
         self.keep(rate, perm, powered, price)
         return price
 
-    def evaluate(self, scores, sel, alpha):
-        price = self.candidate(amend_pairing(scores, sel, alpha))
-        self.bound = min(self.bound, self.dual_at((price,), alpha))
-
-    def finish(self, prices, alpha):
-        rep = search(self)
-        return rep.primal_rate, rep.pairing, rep.allocation, rep.diagnostics
-
     def result(self):
         _, perm, powered, price = self.best
         alloc = channel_allocation(perm, *powered)
@@ -73,8 +60,8 @@ class TotalProblem(SharedProblem):
         self.inv = _inv_gain(self.gains)
         self.out = _buffers(real.m, 3)
 
-    def scores(self, prices, alpha):
-        scores, self.powers = total_scores(self.real.w, self.gains, prices[0], alpha,
+    def scores(self, prices):
+        scores, self.powers = total_scores(self.real.w, self.gains, prices[0],
                                            inv=self.inv, out=self.out)
         return scores
 
@@ -87,8 +74,7 @@ class TotalProblem(SharedProblem):
 
 
 def solve_total(real: ChannelRealization, budget: float,
-                cfg: SolverConfig | None = None, seed: int = 0,
+                cfg: SolverConfig | None = None,
                 collect_trace: bool = False) -> SolveReport:
-    """The assignment-dual search on one shared budget.  ``seed`` is kept
-    for the common solver signature; the search draws nothing."""
+    """The assignment-dual search on one shared budget."""
     return search(TotalProblem(real, budget), cfg, collect_trace)

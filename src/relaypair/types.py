@@ -135,23 +135,16 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits of the dual drivers of ``relaypair.dual``.
+    """Iteration limit of the dual drivers of ``relaypair.dual``.
 
     The shared-budget solvers run the assignment-dual search
     (``dual.search``) and the split-budget solvers the cutting planes
     (``dual.cuts``).  ``max_iter_hard`` caps the assignment evaluations of
-    both: the search's steps and the cuts.  It also caps the iterations of
-    the subgradient method (``dual.solve``), the reference path, which
-    alone reads ``min_iter`` and a ``seed`` (its initial prices); the
-    solvers, the search, the cuts and the baselines draw nothing.  The
-    stopping thresholds, and the subgradient method's step size,
-    repair-span length and initial dual range, are constants of
-    ``relaypair.dual``."""
+    both: the search's steps and the cuts.  Neither driver, nor any
+    baseline, draws a random number.  The stopping thresholds are
+    constants of ``relaypair.dual``."""
 
     max_iter_hard: int = 30000
-    # the raw stopping rule can fire on a momentarily small subgradient, so
-    # it must hold on consecutive iterations and only after min_iter of them
-    min_iter: int = 200
 
     def __post_init__(self):
         if self.max_iter_hard < 1:
@@ -165,7 +158,6 @@ class SolveReport:
     primal_rate: float
     dual_value: float
     iterations: int
-    trigger_iter: int
     converged: bool = True
     trace: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)

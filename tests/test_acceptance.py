@@ -3,12 +3,12 @@
 Run with ``pytest -v tests/test_acceptance.py`` to see per-criterion
 pass/fail; each test also prints its measured statistic.
 
-Criterion 9 checks that one subgradient iteration of the total-power dual
-(``relaypair.dual.iterate`` on the shared-budget problem: an M x M score
-matrix and a row-wise argmax) costs O(M^2), by timing it at M=256 and M=512
-and asking for a cost ratio in [3, 6].  Those sizes are where the M^2 term
+Criterion 9 checks that the O(M^2) part of every dual-driver step on the
+total-power problem (``TotalProblem.scores``: an M x M score matrix, plus
+its row-wise argmax) costs O(M^2), by timing it at M=256 and M=512 and
+asking for a cost ratio in [3, 6].  Those sizes are where the M^2 term
 dominates the vectorized numpy kernels: below M=256 the fixed cost of the
-numpy calls made in each iteration outweighs it.
+numpy calls made in each call outweighs it.
 """
 
 import time
@@ -24,10 +24,8 @@ from relaypair import (IndividualBudgets, RicianConfig, evaluate_baseline,
                        solve_individual, solve_total, validate_allocation,
                        waterfill)
 from relaypair.channel import pair_tables, relay_mask_total
-from relaypair.dual import iterate
 from relaypair.experiments import trial_seed
 from relaypair.solver_total import TotalProblem
-from relaypair.types import SolverConfig
 
 BUD = IndividualBudgets(4.0, 1.0)
 POWER = 5.0
@@ -62,7 +60,7 @@ def test_criterion_1_total_power_oracle_equivalence():
     trials = 200
     for t in range(trials):
         real = _draw("c1", 4, t)
-        rep = solve_total(real, POWER, seed=t)
+        rep = solve_total(real, POWER)
         _record(real, rep.allocation, total_budget=POWER)
         assert rep.gap >= -1e-9
         opt, _ = exhaustive_total(real, POWER)
@@ -78,7 +76,7 @@ def test_criterion_2_individual_oracle_equivalence():
     trials = 200
     for t in range(trials):
         real = _draw("c2", 4, t)
-        rep = solve_individual(real, BUD, seed=t)
+        rep = solve_individual(real, BUD)
         _record(real, rep.allocation, budgets=BUD)
         assert rep.gap >= -1e-9
         opt, _ = exhaustive_individual(real, BUD)
@@ -94,7 +92,7 @@ def test_criterion_3_extra_direct_oracle_equivalence():
     trials = 200
     for t in range(trials):
         real = _draw("c3", 4, t)
-        rep = solve_extra_total(real, POWER, seed=t)
+        rep = solve_extra_total(real, POWER)
         _record(real, rep.allocation, total_budget=POWER, extra_allowed=True)
         assert rep.gap >= -1e-9
         opt, _, _ = exhaustive_extra_total(real, POWER)
@@ -112,7 +110,7 @@ def test_criterion_4_weak_duality_and_gap_exceedance():
         over = 0
         for t in range(trials):
             real = _draw("c4", m, t)
-            rep = solve_total(real, POWER, seed=t)
+            rep = solve_total(real, POWER)
             _record(real, rep.allocation, total_budget=POWER)
             assert rep.gap >= -1e-9, f"weak duality broken: {rep.gap}"
             if rep.gap / max(rep.primal_rate, 1e-12) > 1e-3:
@@ -172,7 +170,7 @@ def test_criterion_6_scheme_ordering():
             first = pname == "3/1/3"
             for t in range(trials):
                 real = _draw(f"c6-{pname}", m, t, **stats)
-                rep = solve_total(real, POWER, seed=t)
+                rep = solve_total(real, POWER)
                 _record(real, rep.allocation, total_budget=POWER)
                 assert rep.gap >= -1e-9
                 prop += rep.primal_rate
@@ -184,11 +182,11 @@ def test_criterion_6_scheme_ordering():
                 _record(real, b.allocation, total_budget=POWER)
                 fix += b.primal_rate
                 if first:
-                    x = solve_extra_total(real, POWER, seed=t)
+                    x = solve_extra_total(real, POWER)
                     _record(real, x.allocation, total_budget=POWER,
                             extra_allowed=True)
                     extra += x.primal_rate
-                    i = solve_individual(real, BUD, seed=t)
+                    i = solve_individual(real, BUD)
                     _record(real, i.allocation, budgets=BUD)
                     ind += i.primal_rate
             assert prop >= scp - 1e-9, f"{pname} M={m}: proposed < scp"
@@ -238,47 +236,42 @@ def test_criterion_8_waterfill_kernel_quality():
             "feasible allocations each")
 
 
-def _per_iteration_cost(sizes):
-    """Best per-iteration time of the shared-budget subgradient iteration
-    for each ``(m, iters)``.
+def _per_call_cost(sizes):
+    """Best per-call time of the shared-budget score matrix and its
+    row-wise argmax for each ``(m, calls)``.
 
-    Every call runs exactly ``iters`` iterations (the hard cap, which is
-    also ``min_iter``) from the same duals and with a fresh trace, since
-    the driver updates ``alpha`` in place.  Round 0 is an untimed warm-up;
-    the best of the 7 timed rounds is kept.  Each round times every size in
-    turn, so a change in machine load during the run hits all sizes alike
-    instead of biasing their ratio.
+    Each timed run makes ``calls`` calls at one price.  Round 0 is an
+    untimed warm-up; the best of the 7 timed rounds is kept.  Each round
+    times every size in turn, so a change in machine load during the run
+    hits all sizes alike instead of biasing their ratio.
     """
-    cases = [(TotalProblem(_draw("c9", m, 0), POWER),
-              SolverConfig(max_iter_hard=iters, min_iter=iters), iters)
-             for m, iters in sizes]
+    cases = [(TotalProblem(_draw("c9", m, 0), POWER), calls) for m, calls in sizes]
     best = [np.inf] * len(cases)
     for rnd in range(8):
-        for i, (problem, cfg, iters) in enumerate(cases):
-            alpha = np.linspace(0.1, 0.9, problem.real.m)
-            trace = np.zeros((iters, 4))
+        for i, (problem, calls) in enumerate(cases):
             t0 = time.perf_counter()
-            iterate(problem, [1.0], alpha, cfg, trace)
+            for _ in range(calls):
+                problem.scores((1.0,)).argmax(axis=1)
             if rnd:
-                best[i] = min(best[i], (time.perf_counter() - t0) / iters)
+                best[i] = min(best[i], (time.perf_counter() - t0) / calls)
     return best
 
 
 def test_criterion_9_scale_smoke():
     real = _draw("c9-solve", 64, 0)
     t0 = time.perf_counter()
-    rep = solve_total(real, POWER, seed=0)
+    rep = solve_total(real, POWER)
     elapsed = time.perf_counter() - t0
     _record(real, rep.allocation, total_budget=POWER)
     assert elapsed < 60.0, f"M=64 solve took {elapsed:.1f}s"
-    # iteration counts chosen for ~0.1-0.2 s per timed call
-    c256, c512 = _per_iteration_cost([(256, 200), (512, 60)])
+    # call counts chosen for ~0.1-0.2 s per timed run
+    c256, c512 = _per_call_cost([(256, 200), (512, 60)])
     ratio = c512 / c256
-    assert 3.0 <= ratio <= 6.0, f"per-iteration cost ratio {ratio:.2f}"
+    assert 3.0 <= ratio <= 6.0, f"per-call cost ratio {ratio:.2f}"
     _report("criterion 9", f"M=64 full solve in {elapsed:.1f}s (<60s); "
-            f"per-iteration cost ratio M=512/M=256 = {ratio:.2f} (in [3, 6], "
-            "consistent with quadratic per-iteration scaling; below M=256 "
-            "fixed per-iteration overhead hides the M^2 term)")
+            f"score-matrix cost ratio M=512/M=256 = {ratio:.2f} (in [3, 6], "
+            "consistent with quadratic per-step scaling; below M=256 "
+            "fixed per-call overhead hides the M^2 term)")
 
 
 def test_criterion_10_extra_individual_certificate():
@@ -295,8 +288,8 @@ def test_criterion_10_extra_individual_certificate():
         rel = []
         for t in range(trials):
             real = _draw("c10", m, t, **profiles[t % 3])
-            warm = solve_individual(real, BUD, seed=t)
-            rep = solve_extra_individual(real, BUD, seed=t, warm_pairing=warm.pairing)
+            warm = solve_individual(real, BUD)
+            rep = solve_extra_individual(real, BUD, warm_pairing=warm.pairing)
             assert validate_allocation(real, rep.allocation, budgets=BUD,
                                        extra_allowed=True) == []
             assert rep.gap >= -1e-9, f"weak duality broken: {rep.gap}"

@@ -68,7 +68,7 @@ def test_solver_beats_baselines_on_average():
     diffs_fix = []
     for seed in range(15):
         real = random_real(8, seed=2000 + seed)
-        rep = solve_total(real, 5.0, seed=seed)
+        rep = solve_total(real, 5.0)
         scp = evaluate_baseline(real, scp_pairing(real), total_budget=5.0)
         fix = evaluate_baseline(real, np.arange(8), total_budget=5.0)
         diffs_scp.append(rep.primal_rate - scp.primal_rate)

@@ -19,7 +19,7 @@ def instance_path(tmp_path):
 
 def test_solve_total(instance_path, capsys):
     rc = main(["solve", "--instance", instance_path, "--constraint", "total",
-               "--power", "5", "--seed", "3"])
+               "--power", "5"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("rate ")
@@ -85,10 +85,10 @@ def test_solver_matches_oracle_through_cli(instance_path, capsys):
 
 def test_bits_flag(instance_path, capsys):
     main(["solve", "--instance", instance_path, "--constraint", "total",
-          "--power", "5", "--seed", "3"])
+          "--power", "5"])
     nats = float(capsys.readouterr().out.splitlines()[0].split()[1])
     main(["solve", "--instance", instance_path, "--constraint", "total",
-          "--power", "5", "--seed", "3", "--bits"])
+          "--power", "5", "--bits"])
     bits = float(capsys.readouterr().out.splitlines()[0].split()[1])
     assert bits == pytest.approx(nats / np.log(2.0), rel=1e-6)
 

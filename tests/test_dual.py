@@ -1,11 +1,11 @@
 """The dual drivers: input without a channel that can carry rate, the
-assignment-dual search of the shared-budget problems against the
-subgradient method, the cutting planes of the split-budget problems on
-gains spanning many decades, generated instances of all four problems
-against the brute-force optimum (the reference value with extra-direct
-reuse under split budgets) and of the split-budget solvers against the
-baselines and each other, and invariants of all four solvers within the
-reported gaps."""
+assignment-dual search of the shared-budget problems against the rates the
+subgradient method reached, the cutting planes of the split-budget
+problems on gains spanning many decades, generated instances of all four
+problems against the brute-force optimum (the reference value with
+extra-direct reuse under split budgets) and of the split-budget solvers
+against the baselines and each other, and invariants of all four solvers
+within the reported gaps."""
 
 import math
 
@@ -49,7 +49,7 @@ def test_zero_weighted_gain_gives_zero_allocation(solver, budget, extra):
         assert rep.primal_rate == 0.0
         assert rep.dual_value == 0.0
         assert rep.converged
-        assert (rep.iterations, rep.trigger_iter) == (0, 0)
+        assert rep.iterations == 0
         assert rep.trace.shape == (0, 4)
         assert rep.allocation.total_power() == 0.0
         assert_feasible(real, rep.allocation, extra_allowed=extra, **limits)
@@ -148,6 +148,29 @@ PROFILES = {"3/1/3": dict(sr=3.0, sd=1.0, rd=3.0),
             "1/1/5": dict(sr=1.0, sd=1.0, rd=5.0)}
 
 
+# primal rates of the paper's subgradient method (random initial prices from
+# seed t, then its repair span and final candidates), recorded before it was
+# removed: SUBGRADIENT_RATES[problem][profile][m][t]
+SUBGRADIENT_RATES = {
+    "TotalProblem": {
+        "3/1/3": {8: (2.917412842426713, 3.327444755292448, 3.260660603662764),
+                  16: (4.330198028923889, 3.5649172359959187, 4.785280849875648)},
+        "5/1/1": {8: (2.4549686063093152, 2.783880373800755, 2.8845678889851554),
+                  16: (3.534434305767321, 2.867682032944655, 3.4842824166329294)},
+        "1/1/5": {8: (2.612023779558365, 2.5116961326824416, 2.6200594942589723),
+                  16: (3.6163871151845415, 2.473026525696559, 3.5561488374634758)},
+    },
+    "ExtraTotalProblem": {
+        "3/1/3": {8: (3.290216203296152, 3.563047186000579, 3.694030348146043),
+                  16: (4.673128453897416, 3.659679774242393, 4.951006656484913)},
+        "5/1/1": {8: (2.9346237741065053, 3.1195143757964967, 3.410003869356573),
+                  16: (4.0852000091466, 3.083374651336527, 3.847790051662396)},
+        "1/1/5": {8: (3.019597256450062, 3.083146406428028, 3.220260063053784),
+                  16: (4.163185890891468, 2.851995068176451, 3.930493719723369)},
+    },
+}
+
+
 @pytest.mark.parametrize("problem", [TotalProblem, ExtraTotalProblem])
 def test_search_never_loses_to_the_subgradient_method(problem):
     for name, stats in PROFILES.items():
@@ -155,9 +178,9 @@ def test_search_never_loses_to_the_subgradient_method(problem):
             for t in range(3):
                 real = random_real(m, seed=4000 + 10 * m + t, **stats)
                 found = dual.search(problem(real, 5.0))
-                iterated = dual.solve(problem(real, 5.0), seed=t)
+                iterated = SUBGRADIENT_RATES[problem.__name__][name][m][t]
                 assert found.converged
-                assert found.primal_rate >= iterated.primal_rate * (1.0 - 1e-12), (name, m, t)
+                assert found.primal_rate >= iterated * (1.0 - 1e-12), (name, m, t)
                 assert found.dual_value >= found.primal_rate - 1e-9
 
 

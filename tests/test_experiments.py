@@ -12,7 +12,7 @@ from relaypair.types import SolverConfig
 
 from conftest import make_rician, random_real
 
-CFG = SolverConfig(min_iter=60)
+CFG = SolverConfig()
 
 
 def small_scenario(**kw):

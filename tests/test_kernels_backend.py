@@ -2,12 +2,10 @@
 
 The references below are the loop forms the kernels had before they were
 vectorized: water-filling by bisection plus a linear budget correction, the
-source-pinned ``nu_solve`` as an active-set walk, per-element score tables
-and the shared-budget phase-1 iteration with a per-row argmax loop (now run
-by ``relaypair.dual.iterate``).  Summation order differs between the two
-forms, so results are compared within a tolerance fixed from float64
-rounding: 1e-12 relative for water-filling powers and ``nu_solve``, and
-identical iteration counts for phase 1.
+source-pinned ``nu_solve`` as an active-set walk, and per-element score
+tables.  Summation order differs between the two forms, so results are
+compared within a tolerance fixed from float64 rounding: 1e-12 relative for
+water-filling powers and ``nu_solve``, 1e-13 for the scores.
 """
 
 import numpy as np
@@ -16,9 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relaypair.kernels as kernels
-from relaypair.dual import iterate
-from relaypair.solver_total import TotalProblem
-from relaypair.types import ChannelRealization, SolverConfig
 
 MU_FLOOR = kernels.MU_FLOOR
 
@@ -99,7 +94,7 @@ def _ref_nu_solve(gains, weights, c_s, c_r, ratio, p_src):
     return nu, powers, relay_used
 
 
-def _ref_total_scores(w, gains, mu, alpha):
+def _ref_total_scores(w, gains, mu):
     m = w.shape[0]
     mu_eff = max(mu, MU_FLOOR)
     scores = np.empty((m, m))
@@ -109,7 +104,7 @@ def _ref_total_scores(w, gains, mu, alpha):
             if gains[k, j] > 0.0:
                 powers[k, j] = max(w[k] / (2.0 * mu_eff) - 1.0 / gains[k, j], 0.0)
             scores[k, j] = (0.5 * w[k] * np.log1p(gains[k, j] * powers[k, j])
-                            - alpha[j] - mu_eff * powers[k, j])
+                            - mu_eff * powers[k, j])
     return scores, powers
 
 
@@ -130,7 +125,7 @@ def _ref_ind_tables(a_sd, a_sr, a_rd, mu_s, mu_r):
     return gains, c_s, c_r
 
 
-def _ref_ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha):
+def _ref_ind_scores(w, gains, c_s, c_r, mu_s, mu_r):
     m = w.shape[0]
     scores = np.empty((m, m))
     powers = np.zeros((m, m))
@@ -140,43 +135,8 @@ def _ref_ind_scores(w, gains, c_s, c_r, mu_s, mu_r, alpha):
             if gains[k, j] > 0.0:
                 powers[k, j] = max(w[k] / (2.0 * price) - 1.0 / gains[k, j], 0.0)
             scores[k, j] = (0.5 * w[k] * np.log1p(gains[k, j] * powers[k, j])
-                            - alpha[j] - price * powers[k, j])
+                            - price * powers[k, j])
     return scores, powers
-
-
-def _ref_total_phase1(w, gains, budget, mu, alpha, step_scale, eps, max_hard,
-                      min_iter):
-    m = w.shape[0]
-    dual_min = np.inf
-    i = consec = 0
-    converged = False
-    while i < max_hard:
-        i += 1
-        scores, powers = _ref_total_scores(w, gains, mu, alpha)
-        counts = np.zeros(m)
-        power_sum = best_sum = 0.0
-        for k in range(m):
-            sel = np.argmax(scores[k])
-            counts[sel] += 1.0
-            power_sum += powers[k, sel]
-            best_sum += scores[k, sel]
-        dual_min = min(dual_min, best_sum + max(mu, MU_FLOOR) * budget + alpha.sum())
-        step = step_scale / np.sqrt(i)
-        new_mu = max(mu - step * (budget - power_sum), 0.0)
-        d_sq = alpha_sq = 0.0
-        for j in range(m):
-            d = step * (1.0 - counts[j])
-            alpha[j] -= d
-            d_sq += d * d
-            alpha_sq += alpha[j] * alpha[j]
-        ok = (abs(new_mu - mu) / max(abs(new_mu), MU_FLOOR) < eps
-              and np.sqrt(d_sq) / max(np.sqrt(alpha_sq), MU_FLOOR) < eps)
-        mu = new_mu
-        consec = consec + 1 if ok else 0
-        if consec >= 3 and i >= min_iter:
-            converged = True
-            break
-    return i, mu, dual_min, converged
 
 
 # -- inputs ------------------------------------------------------------------
@@ -285,9 +245,8 @@ def test_total_scores_agree():
     w, a_sd, a_sr, a_rd = _instance(1)
     gains = np.outer(a_sr, a_rd) / (a_sr[:, None] + a_rd[None, :])
     gains[0, 1] = 0.0
-    alpha = np.linspace(0.0, 1.0, 6)
-    s1, p1 = kernels.total_scores(w, gains, 0.3, alpha)
-    s2, p2 = _ref_total_scores(w, gains, 0.3, alpha)
+    s1, p1 = kernels.total_scores(w, gains, 0.3)
+    s2, p2 = _ref_total_scores(w, gains, 0.3)
     np.testing.assert_allclose(s1, s2, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(p1, p2, rtol=1e-13, atol=1e-13)
 
@@ -299,19 +258,17 @@ def test_ind_tables_and_scores_agree():
     assert np.array_equal(g1, g2)
     assert np.array_equal(cs1, cs2)
     assert np.array_equal(cr1, cr2)
-    alpha = np.linspace(0.0, 1.0, 6)
-    s1, p1 = kernels.ind_scores(w, g1, cs1, cr1, 0.2, 0.5, alpha)
-    s2, p2 = _ref_ind_scores(w, g2, cs2, cr2, 0.2, 0.5, alpha)
+    s1, p1 = kernels.ind_scores(w, g1, cs1, cr1, 0.2, 0.5)
+    s2, p2 = _ref_ind_scores(w, g2, cs2, cr2, 0.2, 0.5)
     np.testing.assert_allclose(s1, s2, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(p1, p2, rtol=1e-13, atol=1e-13)
 
 
 def test_score_kernels_fill_reused_buffers():
     """Writing into buffers left over from other prices gives the same
-    matrices as a fresh call, for every kernel a phase-1 loop reuses."""
+    matrices as a fresh call, for every kernel whose buffers a problem reuses."""
     w, a_sd, a_sr, a_rd = _instance(4)
     m = w.shape[0]
-    alpha = np.linspace(0.1, 0.9, m)
     gains = np.outer(a_sr, a_rd) / (a_sr[:, None] + a_rd[None, :])
     relay_ok = np.broadcast_to((a_sr > a_sd)[:, None], (m, m)).copy()
 
@@ -320,42 +277,15 @@ def test_score_kernels_fill_reused_buffers():
         return bufs + ((np.ones((m, m), dtype=bool),) if extra_bool else ())
 
     calls = [
-        (kernels.total_scores, (w, gains, 0.4, alpha), dirty(3)),
+        (kernels.total_scores, (w, gains, 0.4), dirty(3)),
         (kernels.ind_tables, (a_sd, a_sr, a_rd, 0.3, 0.6), dirty(3)),
         (kernels.ind_scores, (w, *_ref_ind_tables(a_sd, a_sr, a_rd, 0.3, 0.6),
-                              0.3, 0.6, alpha), dirty(3)),
-        (kernels.extra_scores, (w, a_sd, gains, relay_ok, 0.4, alpha), dirty(3, True)),
-        (kernels.extra_ind_scores, (w, a_sd, a_sr, a_rd, 0.3, 0.6, alpha), dirty(6, True)),
+                              0.3, 0.6), dirty(3)),
+        (kernels.extra_scores, (w, a_sd, gains, relay_ok, 0.4), dirty(3, True)),
+        (kernels.extra_ind_scores, (w, a_sd, a_sr, a_rd, 0.3, 0.6), dirty(6, True)),
     ]
     for fn, args, out in calls:
         fresh = fn(*args)
         reused = fn(*args, out=out)
         for a, b in zip(fresh, reused):
             assert np.array_equal(a, b), fn.__name__
-
-
-def test_phase1_agrees():
-    # the shared driver's phase 1 on the shared-budget problem against the
-    # loop form of the old total-power phase-1 kernel
-    for m, seed in [(1, 6), (6, 6), (6, 7), (16, 8), (16, 9)]:
-        w, a_sd, a_sr, a_rd = _instance(seed, m)
-        problem = TotalProblem(ChannelRealization(m, a_sd, a_sr, a_rd, w), 5.0)
-        alpha_ref = np.linspace(0.1, 0.9, m)
-        r2 = _ref_total_phase1(w, problem.gains, 5.0, 1.3, alpha_ref,
-                               0.05, 0.01, 400, 60)
-        # capped at the reference's trigger, the driver runs phase 1 only
-        alpha = np.linspace(0.1, 0.9, m)
-        trace = np.zeros((400, 4))
-        cfg = SolverConfig(max_iter_hard=r2[0], min_iter=60)
-        r1 = iterate(problem, [1.3], alpha, cfg, trace)
-        assert r1[0] == r1[1] == r2[0]
-        assert r1[2][0] == pytest.approx(r2[1], rel=1e-9)
-        assert r1[3] == pytest.approx(r2[2], rel=1e-9)
-        assert r1[4] == r2[3]
-        np.testing.assert_allclose(alpha, alpha_ref, rtol=1e-9, atol=1e-12)
-        assert trace[r1[0] - 1, 3] != 0.0
-        # at a cap of 400 the trigger is the same, with or without a trace
-        cfg = SolverConfig(max_iter_hard=400, min_iter=60)
-        for trace in (np.zeros((400, 4)), None):
-            assert iterate(problem, [1.3], np.linspace(0.1, 0.9, m), cfg,
-                           trace)[0] == r2[0]

@@ -42,7 +42,7 @@ def test_extra_total_matches_oracle_small():
     hits = 0
     for seed in range(20):
         real = random_real(4, seed=800 + seed)
-        rep = solve_extra_total(real, 5.0, seed=seed)
+        rep = solve_extra_total(real, 5.0)
         opt, _, _ = exhaustive_extra_total(real, 5.0)
         assert rep.primal_rate <= opt + 1e-9
         if opt - rep.primal_rate <= 0.015 * opt:
@@ -53,17 +53,16 @@ def test_extra_total_matches_oracle_small():
 def test_extra_total_improves_on_no_extra():
     for seed in range(10):
         real = random_real(6, seed=900 + seed)
-        with_extra = solve_extra_total(real, 5.0, seed=seed)
-        without = solve_total(real, 5.0, seed=seed)
+        with_extra = solve_extra_total(real, 5.0)
+        without = solve_total(real, 5.0)
         assert with_extra.primal_rate >= without.primal_rate - 1e-6
 
 
 def test_extra_individual_improves_on_no_extra():
     for seed in range(10):
         real = random_real(6, seed=1000 + seed)
-        without = solve_individual(real, BUD, seed=seed)
-        with_extra = solve_extra_individual(real, BUD, seed=seed,
-                                            warm_pairing=without.pairing)
+        without = solve_individual(real, BUD)
+        with_extra = solve_extra_individual(real, BUD, warm_pairing=without.pairing)
         assert with_extra.primal_rate >= without.primal_rate - 1e-6
 
 
@@ -71,9 +70,8 @@ def test_extra_individual_matches_reference_small():
     hits = 0
     for seed in range(15):
         real = random_real(4, seed=1100 + seed)
-        warm = solve_individual(real, BUD, seed=seed)
-        rep = solve_extra_individual(real, BUD, seed=seed,
-                                     warm_pairing=warm.pairing)
+        warm = solve_individual(real, BUD)
+        rep = solve_extra_individual(real, BUD, warm_pairing=warm.pairing)
         opt, _, _ = reference_extra_individual(real, BUD)
         assert rep.primal_rate <= opt + 1e-9
         if opt - rep.primal_rate <= 0.015 * opt:
@@ -84,17 +82,17 @@ def test_extra_individual_matches_reference_small():
 def test_extra_allocations_feasible():
     for seed in range(8):
         real = random_real(6, seed=1200 + seed)
-        tot = solve_extra_total(real, 5.0, seed=seed)
+        tot = solve_extra_total(real, 5.0)
         assert_feasible(real, tot.allocation, total_budget=5.0,
                         extra_allowed=True)
-        ind = solve_extra_individual(real, BUD, seed=seed)
+        ind = solve_extra_individual(real, BUD)
         assert_feasible(real, ind.allocation, budgets=BUD, extra_allowed=True)
 
 
 def test_second_slot_power_only_on_direct_pairs():
     for seed in range(8):
         real = random_real(6, seed=1300 + seed)
-        alloc = solve_extra_total(real, 5.0, seed=seed).allocation
+        alloc = solve_extra_total(real, 5.0).allocation
         for k in range(6):
             if alloc.q_s[k] > 0:
                 assert alloc.modes[k] == PairMode.DIRECT
@@ -103,7 +101,7 @@ def test_second_slot_power_only_on_direct_pairs():
 def test_relay_inadmissible_without_sr_advantage():
     # a_sr <= a_sd everywhere: the extra solver must stay all-direct
     real = manual_real([2.0, 3.0], [1.0, 2.0], [5.0, 5.0])
-    rep = solve_extra_total(real, 4.0, seed=1)
+    rep = solve_extra_total(real, 4.0)
     assert np.all(rep.allocation.modes == PairMode.DIRECT)
 
 
