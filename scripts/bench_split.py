@@ -3,11 +3,12 @@
 Runs both split-budget solvers (``solve_individual`` and the warm-started
 ``solve_extra_individual``) on one instance set in each tree and writes a
 JSON file with the two trees' numbers side by side, per M and solver:
-median solve time, losses and gains of the rate above 1e-9 relative, the
-median and largest relative gap, and the median and largest iteration
-count.  Weak duality (dual >= primal - 1e-9) and ``validate_allocation``
-are checked on every report; the count of reports failing either is
-written too.
+median and total solve time, losses and gains of the rate above 1e-9
+relative, the median and largest relative gap, the median and largest
+iteration count (for the cutting planes, the count of cuts) and the count
+of reports with ``converged=False``.  Weak duality (dual >= primal - 1e-9)
+and ``validate_allocation`` are checked on every report; the count of
+reports failing either is written too.
 
 The instance set: M = 4, 8, 16 with 60 draws each and M = 32 with 30,
 ``sample_realization`` seed 9000 + t, Rician K = 1 with the mean-square
@@ -74,7 +75,7 @@ def run_tree() -> list[dict]:
                                              extra_allowed=reuse) == [])
             records.append({"m": m, "t": t, "solver": name, "rate": rep.primal_rate,
                             "dual": rep.dual_value, "iterations": rep.iterations,
-                            "ms": dt * 1e3, "ok": bool(ok)})
+                            "converged": rep.converged, "ms": dt * 1e3, "ok": bool(ok)})
     return records
 
 
@@ -89,9 +90,11 @@ def _stats(records: list[dict]) -> dict:
     gaps = np.array([(r["dual"] - r["rate"]) / max(r["rate"], 1e-12) for r in records])
     iters = np.array([r["iterations"] for r in records])
     return {"median_ms": float(np.median([r["ms"] for r in records])),
+            "total_ms": float(sum(r["ms"] for r in records)),
             "median_gap": float(np.median(gaps)), "largest_gap": float(gaps.max()),
             "median_iterations": float(np.median(iters)),
             "largest_iterations": int(iters.max()),
+            "not_converged": sum(not r["converged"] for r in records),
             "failed_checks": sum(not r["ok"] for r in records)}
 
 

@@ -20,8 +20,9 @@ every assignment permutation they meet is a candidate:
   is the next mu to try whenever it lies inside the bracket;
 - ``cuts`` drives the split-budget problems: Kelley's cutting planes (SIAM
   J. 1960; Cheney & Goldstein, Numer. Math. 1959) on
-  D(mu_s, mu_r) = assignment + mu_s Ps + mu_r Pr, each step a 3-variable
-  ``linprog``.
+  D(mu_s, mu_r) = assignment + mu_s Ps + mu_r Pr, each step the exact
+  minimum of the cut model over a box: constraint generation over a few
+  cuts, each round a vertex enumeration of the 2-D model.
 
 Neither draws a random number.  ``SolverConfig.max_iter_hard`` caps their
 assignment evaluations.
@@ -33,10 +34,11 @@ and its candidate evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .kernels import MU_FLOOR
 from .pairing import scp_pairing
@@ -198,20 +200,96 @@ def search(problem: DualProblem, cfg: SolverConfig | None = None,
         diagnostics=diag)
 
 
-def _model_minimum(planes, top, scale):
-    """Minimum of the cut model max_i D_i + g_i . (x - x_i) over the box
-    MU_FLOOR <= x <= top: (model value, point), or None if the LP fails.
-    ``planes`` is (points x_i, values D_i, subgradients g_i); the LP runs
-    in x / top and in values / scale, so that its variables are of order 1."""
+def _combinations(n, r):
+    """The r-subsets of range(n) in lexicographic order, as r index rows."""
+    return np.array(list(itertools.combinations(range(n), r)), dtype=np.intp).reshape(-1, r).T
+
+
+def _dot(u, v):
+    """u . v over the last axis, of length 2 (numpy sums a short last axis
+    slowly)."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+def _levels(x, planes):
+    """The value of each cut at x (one point, or one per row)."""
     pts, vals, grads = planes
-    a = np.hstack([grads * top / scale, -np.ones((vals.size, 1))])
-    b = ((grads * pts).sum(axis=1) - vals) / scale
-    box = [(min(MU_FLOOR / t, 1.0), 1.0) for t in top]
-    lp = linprog((0.0, 0.0, 1.0), A_ub=a, b_ub=b, bounds=box + [(None, None)],
-                 method="highs")
-    if lp.status != 0:
-        return None
-    return lp.x[2] * scale, lp.x[:2] * top
+    return vals + _dot(x[..., None, :] - pts, grads)
+
+
+def _vertex_minimum(planes, lo, hi):
+    """A point of the box lo <= x <= hi where the model of a few cuts is
+    lowest.  The model is convex and piecewise affine in two variables, so a
+    vertex attains its minimum: a box corner, a point of a box edge where
+    two cuts meet, or a point where three cuts meet.  Each is solved for
+    (cuts that do not meet in one point give none) and clipped into the
+    box; of those points and their next floats each way along each axis,
+    the first of the lowest is returned.
+
+    A vertex is solved for twice, in y = x - origin: first with the origin
+    at the point of one of its cuts, then at the first solution.  There its
+    cuts take values close to the model's, so that a cut of slope 1e12 at a
+    price next to MU_FLOOR costs the second solve no precision."""
+    pts, vals, grads = planes
+    i, j = _combinations(vals.size, 2)
+    a, b, c = _combinations(vals.size, 3)
+    # cuts a and b meet on edge e, x_{e // 2} = ends[e], or cuts a, b and c
+    # meet (e = -1): (g_a - g_b) . y = off_b - off_a, with off the cuts'
+    # values at the origin, and y_{e // 2} = ends[e] - origin_{e // 2} or
+    # (g_a - g_c) . y = off_c - off_a
+    ends = np.array([lo[0], hi[0], lo[1], hi[1]])
+    e = np.concatenate([np.repeat(np.arange(4), i.size), np.full(a.size, -1)])
+    cuts = np.concatenate([np.tile([i, j, j], 4), [a, b, c]], axis=1)
+    rows, on_edge, axis = np.arange(e.size), e >= 0, np.maximum(e, 0) // 2
+    s1 = grads[cuts[0]] - grads[cuts[1]]
+    s2 = np.where(on_edge[:, None], np.eye(2)[axis], grads[cuts[0]] - grads[cuts[2]])
+    det = s1[:, 0] * s2[:, 1] - s1[:, 1] * s2[:, 0]
+    origin = pts[cuts[0]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(2):
+            off = vals[cuts] + _dot(origin - pts[cuts], grads[cuts])
+            r1 = off[1] - off[0]
+            r2 = np.where(on_edge, ends[e] - origin[rows, axis], off[2] - off[0])
+            origin = origin + np.column_stack([r1 * s2[:, 1] - r2 * s1[:, 1],
+                                               r2 * s1[:, 0] - r1 * s2[:, 0]]) / det[:, None]
+    origin[on_edge, axis[on_edge]] = ends[e[on_edge]]
+    points = np.concatenate([np.array([lo, (hi[0], lo[1]), (lo[0], hi[1]), hi]), origin])
+    points = np.clip(points[np.isfinite(points).all(axis=1)], lo, hi)
+    # a vertex may fall between two floats, across which a steep cut moves
+    # by far more than the model's values: try the next float each way too
+    steps = [points]
+    for k in (0, 1):
+        for end in (lo[k], hi[k]):
+            step = points.copy()
+            step[:, k] = np.nextafter(points[:, k], end)
+            steps.append(step)
+    points = np.concatenate(steps)
+    return points[np.argmin(_levels(points, planes).max(axis=1))]
+
+
+def _model_minimum(planes, lo, hi, work):
+    """Minimum of the cut model f(x) = max_i D_i + g_i . (x - x_i) over the
+    box lo <= x <= hi: (f there, the point, the three cuts highest there).
+    ``planes`` is (points x_i, values D_i, subgradients g_i) and ``work``
+    the indices of the cuts to start from.
+
+    Constraint generation: the model of the cuts in ``work`` is minimized
+    exactly (``_vertex_minimum``), and while some cut lies above that model
+    at its minimum, the highest one joins ``work``.  ``work`` grows every
+    round, so the loop ends, with f equal to the working model at the
+    working model's minimum: that point minimizes f too.  Three cuts fix a
+    vertex of the model, so three are returned for the next call to start
+    from."""
+    work = list(work)
+    while True:
+        x = _vertex_minimum(tuple(part[work] for part in planes), lo, hi)
+        level = _levels(x, planes)
+        top = int(np.argmax(level))
+        if level[top] <= level[work].max():
+            break
+        work.append(top)
+    keep = np.argsort(-level[work], kind="stable")[:3]
+    return level[top], x, [work[i] for i in keep]
 
 
 def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
@@ -232,9 +310,11 @@ def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
     _CUT_RTOL relative of the larger of the model minimum and the best
     rate, when the model minimum is the point just tried, when _CUT_STALL
     points in a row do not narrow the model gap (the bound less the model
-    minimum: where a duality gap remains, or where the LP's tolerance is
-    reached), or after ``cfg.max_iter_hard`` points.  The problem then
-    allocates the rest of its candidates (``finish``).
+    minimum: where a duality gap remains, or where the zigzag of Kelley's
+    points into a kink stops gaining), or after ``cfg.max_iter_hard``
+    points.  Each model minimum starts from the cuts highest at the last
+    one and the cuts added since.  The problem then allocates the rest of
+    its candidates (``finish``).
 
     ``iterations`` counts the driver's assignment evaluations and
     ``converged`` says whether a stopping rule held before the cap.  Trace
@@ -249,6 +329,7 @@ def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
     x = np.where(np.isfinite(x), np.maximum(x, MU_FLOOR), 1.0)
     floor = -math.inf
     last = math.inf   # the model gap, bound - floor, at the last point
+    active, seen = [], 0   # the cuts highest at the last model minimum; how many cuts it had
     converged = False
     stall = it = 0
     while it < cfg.max_iter_hard:
@@ -270,10 +351,10 @@ def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
         planes = problem.cut_rows()
         top = np.where(budgets > 0.0, bound / np.where(budgets > 0.0, budgets, 1.0),
                        np.maximum(2.0 * planes[0].max(axis=0), 1.0))
-        step = _model_minimum(planes, top, max(bound, MU_FLOOR))
-        if step is None:
-            break
-        floor, nxt = max(floor, step[0]), step[1]
+        step, nxt, active = _model_minimum(planes, np.minimum(top, MU_FLOOR), top,
+                                           active + list(range(seen, planes[1].size)))
+        seen = planes[1].size
+        floor = max(floor, step)
         if np.array_equal(nxt, x):
             converged = True
             break

@@ -1,27 +1,31 @@
 """The dual drivers: input without a channel that can carry rate, the
 assignment-dual search of the shared-budget problems against the rates the
 subgradient method reached, the cutting planes of the split-budget
-problems on gains spanning many decades, generated instances of all four
+problems on gains spanning many decades, their cut-model minimum against
+exact vertex enumeration and below the bound, generated instances of all four
 problems against the brute-force optimum (the reference value with
 extra-direct reuse under split budgets) and of the split-budget solvers
 against the baselines and each other, and invariants of all four solvers
 within the reported gaps."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relaypair.dual as dual
-from relaypair import (BaselineKind, ChannelRealization, IndividualBudgets,
+from relaypair import (BaselineKind, ChannelRealization, IndividualBudgets, WeightRule,
                        assert_feasible, baseline_pairing, evaluate_baseline,
                        exhaustive_extra_total, exhaustive_individual, exhaustive_total,
                        reference_extra_individual, solve_extra_individual,
                        solve_extra_total, solve_individual, solve_total,
                        validate_allocation)
 from relaypair.experiments import solve_proposed
+from relaypair.kernels import MU_FLOOR
 from relaypair.solver_extra import ExtraTotalProblem
 from relaypair.solver_total import TotalProblem
 from relaypair.types import SolverConfig
@@ -141,6 +145,132 @@ def test_gains_spanning_decades_take_a_few_dozen_cuts():
     ref = reference_extra_individual(real, budgets)[0]
     assert extra.primal_rate == pytest.approx(ref, rel=1e-12)
     assert 0.0 <= extra.gap <= 1e-9 * extra.primal_rate
+
+
+def _det(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _exact_model_minimum(planes, lo, hi):
+    """The minimum of the cut model max_k D_k + g_k . (x - x_k) over the box
+    lo <= x <= hi in exact rational arithmetic, with the cuts active at a
+    minimizer x*: the LP in (x, z) attains it where three of its
+    constraints (a cut z = ..., or a box side x_j = lo_j or hi_j) hold."""
+    cuts = [(Fraction(d), [Fraction(v) for v in g], [Fraction(v) for v in p])
+            for p, d, g in zip(*(part.tolist() for part in planes))]
+    box = [(Fraction(lo_j), Fraction(hi_j)) for lo_j, hi_j in zip(lo.tolist(), hi.tolist())]
+    rows = [((-g[0], -g[1], 1), d - g[0] * p[0] - g[1] * p[1]) for d, g, p in cuts]
+    rows += [((j == 0, j == 1, 0), end) for j in (0, 1) for end in box[j]]
+    best = None
+    for trio in itertools.combinations(rows, 3):
+        lhs = [row for row, _ in trio]
+        det = _det(lhs)
+        if det == 0:
+            continue
+        x = [_det([[rhs if k == j else v for k, v in enumerate(row)] for row, rhs in trio]) / det
+             for j in (0, 1)]
+        if all(low <= x_j <= high for x_j, (low, high) in zip(x, box)):
+            levels = [d + g[0] * (x[0] - p[0]) + g[1] * (x[1] - p[1]) for d, g, p in cuts]
+            if best is None or max(levels) < best[0]:
+                best = max(levels), x, [k for k, v in enumerate(levels) if v == max(levels)]
+    return best
+
+
+# a box side: at or below MU_FLOOR (then lo = hi there), or 0.1 to 1000
+_side = st.one_of(st.just(MU_FLOOR), st.just(0.5 * MU_FLOOR),
+                  st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e))
+_slope = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                   st.floats(-3.0, 3.0).map(lambda e: -(10.0 ** e)))
+# a budget of 0: the subgradient is minus the use, up to 1e20
+_zero_budget_slope = st.one_of(st.just(0.0), st.floats(10.0, 20.0).map(lambda e: -(10.0 ** e)))
+
+
+@st.composite
+def _cut_models(draw):
+    """Cuts (points x_k in the box, values D_k, subgradients g_k) and the
+    box, with duplicate and parallel cuts, zero subgradients, zero budgets,
+    box sides at MU_FLOOR and cuts at prices next to MU_FLOOR, where the
+    use, and so the slope, runs to about 1 / price."""
+    hi = np.array([draw(_side), draw(_side)])
+    lo = np.minimum(hi, MU_FLOOR)
+
+    def coordinate(j):
+        kind = draw(st.sampled_from(("any", "floor", "zero budget")))
+        if kind == "floor":
+            x = float(np.clip(10.0 ** draw(st.floats(-12.0, -6.0)), lo[j], hi[j]))
+            return x, -draw(st.floats(0.1, 10.0)) / x
+        x = lo[j] + (hi[j] - lo[j]) * draw(st.floats(0.0, 1.0))
+        return x, draw(_zero_budget_slope if kind == "zero budget" else _slope)
+
+    n = draw(st.integers(1, 6))
+    pts, grads = np.array([[coordinate(j) for j in (0, 1)] for _ in range(n)]).transpose(2, 0, 1)
+    vals = np.array(draw(st.lists(st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
+                                  min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, n - 1))
+        pts, grads = np.vstack([pts, pts[k]]), np.vstack([grads, grads[k]])
+        vals = np.append(vals, vals[k] + draw(st.sampled_from((0.0, 1.0, -0.05))))
+    return (pts, vals, grads), lo, hi
+
+
+def _line_case(pts, vals, grads, hi):
+    """Cuts on the box MU_FLOOR <= x <= hi."""
+    return ((np.array(pts), np.array(vals), np.array(grads)),
+            np.array([MU_FLOOR, MU_FLOOR]), np.array(hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cut_models(), st.lists(st.integers(0, 7), min_size=1, max_size=3))
+# the vertex of the first and third cuts falls between two floats, and the
+# third cut moves by 5.5 from one to the next
+@example(_line_case([(MU_FLOOR, MU_FLOOR), (1.0, MU_FLOOR), (0.25, MU_FLOOR)],
+                    [1.0, 1.0, 3.16227766], [(1.0, 0.0), (-1.0, 0.0), (-1e17, 0.0)],
+                    [1.0, MU_FLOOR]), [0])
+# the first cut's point lies far from the vertex, which the second cut of
+# slope -1e6 fixes to within 1e-6
+@example(_line_case([(MU_FLOOR, 1.0), (MU_FLOOR, 1e-6)], [1.0, 1.0],
+                    [(-1e12, 1.0), (0.0, -1e6)], [MU_FLOOR, 1.0]), [0])
+def test_model_minimum_matches_exact_vertex_enumeration(case, picks):
+    # from any working set of one to three cuts.  Rounding the minimizer x*
+    # to floats and evaluating an active cut k there err by about the unit
+    # roundoff times |D_k| + |g_k| . (|x* - x_k| + |x*|), so the value is
+    # compared relative to the larger of that and the minimum
+    planes, lo, hi = case
+    work = list(dict.fromkeys(k % planes[1].size for k in picks))
+    value, x, active = dual._model_minimum(planes, lo, hi, work)
+    assert np.all(lo <= x) and np.all(x <= hi)
+    assert value == dual._levels(x, planes).max()
+    assert len(active) <= 3
+    exact, at, cuts = _exact_model_minimum(planes, lo, hi)
+    at = np.array(at, dtype=float)
+    pts, vals, grads = planes
+    terms = [abs(vals[k]) + np.abs(grads[k]) @ (np.abs(at - pts[k]) + np.abs(at)) for k in cuts]
+    size = max(abs(float(exact)), *terms)
+    assert abs(value - float(exact)) <= 1e-12 * size
+
+
+def test_model_minimum_stays_below_the_bound(monkeypatch):
+    # a linear program solver once put this model's minimum at 6.5862, above
+    # the lowest dual value found (6.5386), and the driver stopped there as
+    # converged with the dual 6.538486686060889 and the rate 6.538483392987569
+    real = random_real(32, seed=9025, sr=5.0, sd=1.0, rd=1.0,
+                       weight_rule=WeightRule.LINEAR_RAMP)
+    warm = solve_individual(real, SPLIT).pairing
+    floors = []
+    model_minimum = dual._model_minimum
+
+    def spy(planes, *args):
+        step = model_minimum(planes, *args)
+        floors.append((step[0], planes[1].min()))
+        return step
+
+    monkeypatch.setattr(dual, "_model_minimum", spy)
+    rep = solve_extra_individual(real, SPLIT, warm_pairing=warm)
+    assert floors and all(floor <= bound for floor, bound in floors)
+    assert rep.primal_rate >= 6.538483392987569 * (1.0 - 1e-12)
+    assert rep.dual_value <= 6.538486686060889 * (1.0 + 1e-12)
+    assert rep.dual_value >= rep.primal_rate - 1e-9 * max(1.0, rep.primal_rate)
 
 
 PROFILES = {"3/1/3": dict(sr=3.0, sd=1.0, rd=3.0),
