@@ -10,12 +10,15 @@ of reports with ``converged=False``.  Weak duality (dual >= primal - 1e-9)
 and ``validate_allocation`` are checked on every report; the count of
 reports failing either is written too.
 
-The instance set: M = 4, 8, 16 with 60 draws each and M = 32 with 30,
-``sample_realization`` seed 9000 + t, Rician K = 1 with the mean-square
-profiles SR/SD/RD = 3/1/3, 5/1/1 and 1/1/5 rotating over t, linear-ramp
-weights on odd t, budgets (Ps, Pr) = (4, 1).  The warm start of
+The instance set: M = 4, 8, 16 with 60 draws each, M = 32 with 30,
+M = 64 with 12 and M = 128 with 6, ``sample_realization`` seed 9000 + t,
+Rician K = 1 with the mean-square profiles SR/SD/RD = 3/1/3, 5/1/1 and
+1/1/5 rotating over t, linear-ramp weights on odd t, budgets (Ps, Pr) =
+(4, 1).  The warm start of
 ``solve_extra_individual`` is a ``solve_individual`` run on the same
-instance; its time is not counted in the extra-direct solve.
+instance; its time is not counted in the extra-direct solve.  Each M has
+rows of its own, so the rows of M <= 32 compare with files written before
+M = 64 and 128 joined the set.
 
 Usage::
 
@@ -38,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-SIZES = ((4, 60), (8, 60), (16, 60), (32, 30))
+SIZES = ((4, 60), (8, 60), (16, 60), (32, 30), (64, 12), (128, 6))
 PROFILES = ((3.0, 1.0, 3.0), (5.0, 1.0, 1.0), (1.0, 1.0, 5.0))
 BUDGETS = (4.0, 1.0)
 TOL = 1e-9
@@ -140,7 +143,8 @@ def main(argv=None) -> int:
     here = Path(__file__).resolve().parent.parent
     before = _tree_records(args.parent.resolve())
     after = _tree_records(here)
-    result = {"instances": "M = 4/8/16 x 60, M = 32 x 30; sample_realization seed 9000+t, "
+    result = {"instances": "M = 4/8/16 x 60, M = 32 x 30, M = 64 x 12, M = 128 x 6; "
+                           "sample_realization seed 9000+t, "
                            "profiles 3/1/3, 5/1/1, 1/1/5 rotating, ramp weights on odd t, "
                            "budgets (4, 1); extra-direct solves warm-started "
                            "from solve_individual, whose time is not counted in theirs",

@@ -6,16 +6,21 @@ price ratio r = mu_r / mu_s: with the relay branch active when
 a_rd > a_sd * r (and a_sr > a_sd), the pair behaves as one channel with an
 equivalent gain whose power costs c_s + c_r * r source-price units.
 
-The solve walks the mode-boundary ratios a_rd/a_sd in ascending order.  On
+The mode-boundary ratios a_rd/a_sd cut the ratio axis into segments.  On
 each segment the mode pattern is frozen, so the pairs are one fixed channel
 list (``channel.pair_channels``), solved by ``split_solve``: the source
 budget is pinned exactly (see ``kernels.nu_solve``), and the relay
 consumption R(r) is decreasing, so the ratio where R crosses the relay
-budget is found by Brent's bracketed root finder (``crossing``).  If the
-crossing happens across a boundary, the pairs on that boundary operate
-between modes with a free power split, fixed by a scalar water-level
-equation.  ``split_solve`` also allocates the extra-direct problem, whose
-relay-use pattern is fixed by its caller.
+budget is found by Brent's bracketed root finder (``crossing``).  R also
+falls across each boundary, which only drops relay pairs, so the crossing
+lies on the first segment whose upper end is within the relay budget.  The
+solve finds that segment by a galloping search (segments 0, 1, 3, 7, ...,
+then bisection), one evaluation of R per segment probed, and reuses the
+probe's evaluations in the segment's solve.  If the crossing happens
+across a boundary, the pairs on that boundary operate between modes with a
+free power split, fixed by a scalar water-level equation.  ``split_solve``
+also allocates the extra-direct problem, whose relay-use pattern is fixed
+by its caller.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channel import channel_allocation, pair_channels
-from .kernels import nu_solve
+from .kernels import nu_prepare, nu_solve
 from .types import ChannelRealization, PairMode
 
 _RTOL = 4.0 * np.finfo(float).eps   # the tightest relative tolerance brentq accepts
@@ -75,13 +80,30 @@ def _prices(nu, ratio):
     return mu, ratio * mu if ratio > 0 else 0.0
 
 
-def split_solve(channels, p_src, p_rly, lo=0.0, hi=np.inf):
+def evaluations(channels, p_src):
+    """``nu_solve`` on a frozen channel list (``channel.pair_channels``) with
+    its source budget, prepared once (``nu_prepare``): a function of the
+    price ratio that remembers every ratio it has solved."""
+    prep = nu_prepare(*channels, p_src)
+    solved = {}
+
+    def at(ratio):
+        if ratio not in solved:
+            solved[ratio] = nu_solve(prep, ratio)
+        return solved[ratio]
+
+    return at
+
+
+def split_solve(channels, p_src, p_rly, lo=0.0, hi=np.inf, at=None):
     """Powers on a frozen channel list (``channel.pair_channels``) under a
     source budget and a relay budget, for a price ratio in [lo, hi].
 
-    The source budget is pinned at every ratio (``nu_solve``) and the relay
-    use falls as the ratio grows.  Returns (powers, diagnostics), with
-    diagnostics["case"]:
+    The source budget is pinned at every ratio (``nu_solve``, prepared once
+    for the list) and the relay use falls as the ratio grows.  A finite hi
+    must be a ratio where the relay use is within its budget.  ``at`` is the
+    list's ``evaluations`` if the caller has already solved some ratios on
+    it.  Returns (powers, diagnostics), with diagnostics["case"]:
 
     - "slack": the relay budget is slack at ratio lo;
     - "crossing": the ratio where the relay use meets its budget, by
@@ -90,16 +112,9 @@ def split_solve(channels, p_src, p_rly, lo=0.0, hi=np.inf):
     - "source_slack" (hi infinite only): no ratio brings the relay within
       budget, because every active channel carries a relay share; the relay
       budget is pinned instead, with the source price at 0 (ratio inf).
-
-    With a finite hi, None if the relay budget still binds at hi.
     """
     gains, weights, c_s, c_r = channels
-    solved = {}
-
-    def at(ratio):
-        if ratio not in solved:
-            solved[ratio] = nu_solve(gains, weights, c_s, c_r, ratio, p_src)
-        return solved[ratio]
+    at = at or evaluations(channels, p_src)
 
     def excess(ratio):
         return at(ratio)[2] - p_rly
@@ -108,16 +123,16 @@ def split_solve(channels, p_src, p_rly, lo=0.0, hi=np.inf):
     if excess(lo) > 0.0:
         case = "crossing"
         if hi < np.inf:
-            if excess(hi) > 0.0:
-                return None
             ratio = crossing(excess, lo, hi)
         else:
             ratio = crossing(excess, lo, max(2.0 * lo, 1.0), grow=64)
             if ratio is None:
                 case, ratio = "source_slack", np.inf
-                solved[ratio] = nu_solve(np.where(c_r > 0, gains, 0.0), weights, c_r,
-                                         np.zeros_like(c_r), 0.0, p_rly)
-    nu, powers, _ = at(ratio)
+    if case == "source_slack":
+        nu, powers, _ = nu_solve(nu_prepare(np.where(c_r > 0, gains, 0.0), weights, c_r,
+                                            np.zeros_like(c_r), p_rly), 0.0)
+    else:
+        nu, powers, _ = at(ratio)
     mu_s, mu_r = _prices(nu, ratio)
     return powers, {"case": case, "ratio": ratio, "nu": nu, "mu_s": mu_s, "mu_r": mu_r}
 
@@ -182,18 +197,41 @@ def zero_crossing_refine(real: ChannelRealization, pairing: np.ndarray,
     if p_rly <= 0.0:
         boundary[:] = 0.0
 
-    # the mode pattern is frozen between consecutive boundaries; after the
-    # last finite one only pairs with a_sd == 0 still relay, and their relay
-    # use shrinks to zero as the ratio grows
-    prev = 0.0
-    for b in np.append(np.unique(boundary[np.isfinite(boundary) & (boundary > 0)]), np.inf):
-        rows = boundary > prev          # mode pattern on (prev, b]
-        channels = pair_channels(real, perm, rows)
-        out = split_solve(channels, p_src, p_rly, prev, b)
-        if out is not None:
-            break
-        prev = b
-    powers, diag = out
+    # the mode pattern is frozen on each segment (bounds[j], bounds[j + 1]];
+    # after the last finite boundary only pairs with a_sd == 0 still relay,
+    # and their relay use shrinks to zero as the ratio grows
+    bounds = np.concatenate(([0.0], np.unique(boundary[np.isfinite(boundary) & (boundary > 0)]),
+                             [np.inf]))
+    tail = bounds.size - 2
+    segments = {}
+
+    def segment(j):
+        if j not in segments:
+            rows = boundary > bounds[j]
+            channels = pair_channels(real, perm, rows)
+            segments[j] = rows, channels, evaluations(channels, p_src)
+        return segments[j]
+
+    def stops(j):
+        # whether segment j holds the crossing or lies past it: its relay
+        # use at the upper end is not over budget; the tail segment, without
+        # an upper end, always does
+        return j == tail or not segment(j)[2](bounds[j + 1])[2] > p_rly
+
+    # gallop over segments 0, 1, 3, 7, ... then bisect between the last
+    # segment passed and the first that stops
+    passed, j = -1, 0
+    while not stops(j):
+        passed, j = j, min(2 * j + 1, tail)
+    while j - passed > 1:
+        mid = (passed + j) // 2
+        if stops(mid):
+            j = mid
+        else:
+            passed = mid
+    rows, channels, at = segment(j)
+    prev, b = bounds[j], bounds[j + 1]
+    powers, diag = split_solve(channels, p_src, p_rly, prev, b, at)
     case = diag["case"]
     if case == "slack" and prev > 0.0:
         # over budget just below prev, slack just above: the pairs with that

@@ -18,9 +18,14 @@ slot, dead where pair k relays), allocates power on it (water-filling under
 the shared budget, ``extra_individual_allocate`` under split budgets), and
 re-decides relay use at the prices that allocation implies until the
 pattern settles (``DualProblem.settle``; the ``use_at`` hooks re-score).
-Under split budgets a candidate also falls back to its pairing's no-reuse
-refinement, computed once per pairing (``ExtraIndividualProblem.fallback``),
-whose prices also give the relay use that a final candidate starts from.
+Under split budgets the re-score reads only the pairing's M entries of the
+scores (``kernels.extra_ind_scores`` with ``cols``), and each pairing and
+relay-use pattern is allocated once per problem
+(``ExtraIndividualProblem.allocate_pattern``): the re-decision loops of
+different candidates, and the price scan, meet the same patterns again.  A
+candidate also falls back to its pairing's no-reuse refinement, computed
+once per pairing (``ExtraIndividualProblem.fallback``), whose prices also
+give the relay use that a final candidate starts from.
 """
 
 from __future__ import annotations
@@ -105,6 +110,7 @@ class ExtraIndividualProblem(SplitProblem):
         super().__init__(real, budgets, warm_pairing)
         self.out = _mode_buffers(real.m, 6)
         self.fallbacks = {}
+        self.patterns = {}
 
     def scores(self, prices):
         real = self.real
@@ -123,12 +129,21 @@ class ExtraIndividualProblem(SplitProblem):
         return self.use_relay[self.rows, perm]
 
     def use_at(self, perm, prices):
-        self.scores(prices)
-        return self.start(perm)
+        """The pairing's relay use at ``prices``, read from its M entries of
+        the scores alone; the score buffers are left as they are."""
+        real = self.real
+        return extra_ind_scores(real.w, real.a_sd, real.a_sr, real.a_rd, *prices,
+                                cols=perm.reshape(-1, 1))[1][:, 0]
 
     def allocate_pattern(self, perm, use):
-        alloc, rate, ratio, prices = extra_individual_allocate(self.real, perm, use, self.split)
-        return rate, alloc, prices, {"ratio": ratio}
+        """``extra_individual_allocate`` as a candidate, computed once per
+        pairing and relay-use pattern."""
+        key = perm.tobytes() + use.tobytes()
+        if key not in self.patterns:
+            alloc, rate, ratio, prices = extra_individual_allocate(self.real, perm, use,
+                                                                   self.split)
+            self.patterns[key] = (rate, alloc, prices, {"ratio": ratio})
+        return self.patterns[key]
 
     def fallback(self, perm):
         """The pairing's no-reuse refinement as a candidate, computed once per

@@ -205,7 +205,7 @@ def test_nu_solve_matches_reference(channels, data):
     assume(ratio > 0.0 or np.all(c_s > 0.0))
     p_src = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu, p, used = kernels.nu_solve(gains, weights, c_s, c_r, ratio, p_src)
+        nu, p, used = kernels.nu_solve(kernels.nu_prepare(gains, weights, c_s, c_r, p_src), ratio)
     nu_ref, p_ref, used_ref = _ref_nu_solve(gains, weights, c_s, c_r, ratio, p_src)
     assert nu == pytest.approx(nu_ref, rel=1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +234,7 @@ def test_nu_solve_agrees():
         w = rng.uniform(0.5, 2.0, m)
         c_r = rng.uniform(0.0, 0.5, m)
         c_s = 1.0 - c_r
-        out1 = kernels.nu_solve(gains, w, c_s, c_r, 0.7, 4.0)
+        out1 = kernels.nu_solve(kernels.nu_prepare(gains, w, c_s, c_r, 4.0), 0.7)
         out2 = _ref_nu_solve(gains, w, c_s, c_r, 0.7, 4.0)
         assert out1[0] == pytest.approx(out2[0], rel=1e-12)
         _assert_powers_close(out1[1], out2[1], w / (c_s + 0.7 * c_r) * out2[0])

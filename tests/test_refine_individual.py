@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import relaypair.refine as refine
 from relaypair import (IndividualBudgets, assert_feasible, validate_allocation,
                        weighted_sum_rate, zero_crossing_refine)
+from relaypair.channel import channel_allocation, pair_channels
 from relaypair.solver_extra import extra_individual_allocate
 from relaypair.types import PairMode
 
@@ -202,8 +203,7 @@ def test_brent_matches_bisection(inputs):
         assert miss <= abs(ref_alloc.p_r.sum() - p_rly) + 1e-12 * p_rly
 
 
-def test_interior_refine_needs_few_nu_solves(monkeypatch):
-    # the bisection spent 80 nu_solve calls on the crossing alone
+def _count_nu_solves(monkeypatch):
     calls = []
     nu_solve = refine.nu_solve
 
@@ -212,9 +212,25 @@ def test_interior_refine_needs_few_nu_solves(monkeypatch):
         return nu_solve(*args)
 
     monkeypatch.setattr(refine, "nu_solve", counting)
+    return calls
+
+
+def test_interior_refine_needs_few_nu_solves(monkeypatch):
+    # the bisection spent 80 nu_solve calls on the crossing alone, and the
+    # linear walk over the mode boundaries 17 in all
+    calls = _count_nu_solves(monkeypatch)
     _, diag = zero_crossing_refine(random_real(32, seed=0), np.arange(32), 4.0, 1.0)
     assert diag["case"] == "interior"
-    assert len(calls) <= 25
+    assert len(calls) <= 14
+
+
+def test_refine_evaluations_grow_slowly_with_m(monkeypatch):
+    # the galloping walk takes O(log M) evaluations to find the segment; the
+    # linear walk took two per boundary passed, 52.5 per refine on average here
+    calls = _count_nu_solves(monkeypatch)
+    for seed in range(20):
+        zero_crossing_refine(random_real(128, seed=seed), np.arange(128), 4.0, 1.0)
+    assert len(calls) / 20 <= 20.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -275,3 +291,85 @@ def test_extra_allocation_feasible_at_extreme_gains(inputs):
     use &= real.a_sr > real.a_sd
     alloc, _, _, _ = extra_individual_allocate(real, perm, use, budgets)
     assert validate_allocation(real, alloc, budgets=budgets, extra_allowed=True) == []
+
+
+def _linear_walk(real, perm, p_src, p_rly):
+    """``zero_crossing_refine`` as it walked the mode boundaries before the
+    galloping search: in ascending order, solving each segment in turn until
+    one holds the answer.  Returns (allocation, diagnostics, index of that
+    segment, count of segments)."""
+    can_relay = real.a_sr > real.a_sd
+    a_rd_p = real.a_rd[perm]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boundary = np.where(can_relay & (real.a_sd > 0), a_rd_p / real.a_sd,
+                            np.where(can_relay & (a_rd_p > 0), np.inf, 0.0))
+    if p_rly <= 0.0:
+        boundary[:] = 0.0
+    ends = np.append(np.unique(boundary[np.isfinite(boundary) & (boundary > 0)]), np.inf)
+    prev = 0.0
+    for j, b in enumerate(ends):
+        rows = boundary > prev
+        channels = pair_channels(real, perm, rows)
+        at = refine.evaluations(channels, p_src)
+        # the segment is passed while the relay use is over budget at both ends
+        if b == np.inf or not (at(prev)[2] > p_rly and at(b)[2] > p_rly):
+            break
+        prev = b
+    powers, diag = refine.split_solve(channels, p_src, p_rly, prev, b, at)
+    case = diag["case"]
+    if case == "slack" and prev > 0.0:
+        alloc, diag = refine._intermediate_solve(real, perm, rows, boundary == prev, prev,
+                                                 p_src, p_rly)
+        return alloc, diag, j, ends.size
+    if case == "slack":
+        case = "relay_slack" if rows.any() else "all_direct"
+    elif case == "crossing":
+        case = "interior" if b < np.inf else "interior_tail"
+    alloc = channel_allocation(perm, rows, powers, channels[2], channels[3])
+    return alloc, {**diag, "case": case}, j, ends.size
+
+
+def _same_as_linear_walk(real, perm, p_src, p_rly):
+    """Assert that the refine equals the linear walk bit for bit; returns
+    (segment index, count of segments) of the walk."""
+    alloc, diag = zero_crossing_refine(real, perm, p_src, p_rly)
+    ref_alloc, ref_diag, j, n = _linear_walk(real, perm, p_src, p_rly)
+    np.testing.assert_equal(diag, ref_diag)
+    for field in ("pairing", "modes", "p_s", "p_r", "q_s"):
+        assert getattr(alloc, field).tobytes() == getattr(ref_alloc, field).tobytes(), field
+    return j, n
+
+
+def test_gallop_matches_linear_walk_in_every_segment_position():
+    where = set()
+    for p_rly in (1.0, 0.01, 100.0):
+        for seed in range(10):
+            j, n = _same_as_linear_walk(random_real(8, seed=seed), np.arange(8), 4.0, p_rly)
+            where.add("first" if j == 0 else "last" if j == n - 1 else "middle")
+    assert where == {"first", "middle", "last"}
+
+
+# few distinct gains, so that boundaries a_rd/a_sd tie, or any over 24 decades
+_walk_gain = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), _extreme_gain)
+
+
+@st.composite
+def _walk_inputs(draw):
+    m = draw(st.integers(1, 24))
+    vec = st.lists(_walk_gain, min_size=m, max_size=m)
+    a_sd = np.array(draw(vec))
+    # rows without a direct link have an infinite boundary
+    a_sd[np.array(draw(st.lists(st.integers(0, 9).map(lambda d: d < 2),
+                                min_size=m, max_size=m)))] = 0.0
+    real = manual_real(a_sd, draw(vec), draw(vec),
+                       w=draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=m, max_size=m)))
+    perm = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    p_rly = draw(st.one_of(st.just(0.0), _budget))
+    return real, perm, draw(_budget), p_rly
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_inputs())
+@example(_TIED)
+def test_gallop_matches_linear_walk(inputs):
+    _same_as_linear_walk(*inputs)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relaypair.solver_extra as solver_extra
 from relaypair import (IndividualBudgets, assert_feasible, evaluate_baseline,
                        exhaustive_extra_total, reference_extra_individual,
                        solve_extra_individual, solve_extra_total,
                        solve_individual, solve_total)
-from relaypair.kernels import extra_scores
+from relaypair.kernels import MU_FLOOR, extra_ind_scores, extra_scores
+from relaypair.solver_extra import ExtraIndividualProblem
 from relaypair.types import PairMode
 
 from conftest import manual_real, random_real
@@ -112,3 +116,51 @@ def test_fixed_pairing_mode():
     assert np.array_equal(rep.pairing, fixed)
     assert np.array_equal(rep.allocation.pairing, fixed)
     assert_feasible(real, rep.allocation, budgets=BUD, extra_allowed=True)
+
+
+def test_each_relay_use_pattern_allocated_once(monkeypatch):
+    # re-deciding relay use at each allocation's prices meets the same
+    # patterns again: without the memo, 13 of 24 allocations here repeated one
+    seen = []
+    allocate = solver_extra.extra_individual_allocate
+
+    def recording(real, perm, use, budgets):
+        seen.append(perm.tobytes() + use.tobytes())
+        return allocate(real, perm, use, budgets)
+
+    monkeypatch.setattr(solver_extra, "extra_individual_allocate", recording)
+    solve_extra_individual(random_real(4, seed=0), BUD)
+    assert len(seen) == len(set(seen)) > 0
+
+
+_price = st.one_of(st.sampled_from([0.0, MU_FLOOR, 1.0]),
+                   st.floats(-12.0, 2.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _pairing_inputs(draw):
+    m = draw(st.integers(1, 12))
+    # few distinct gains: zeros, and rows with a_sr <= a_sd, are common
+    vec = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                             st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)),
+                   min_size=m, max_size=m)
+    real = manual_real(draw(vec), draw(vec), draw(vec),
+                       w=draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                       min_size=m, max_size=m)))
+    perm = np.array(draw(st.permutations(range(m))), dtype=np.int64)
+    return real, perm, (draw(_price), draw(_price))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairing_inputs())
+def test_pairing_entries_equal_the_full_score_matrix(inputs):
+    real, perm, prices = inputs
+    args = (real.w, real.a_sd, real.a_sr, real.a_rd, *prices)
+    full = extra_ind_scores(*args)
+    pair = extra_ind_scores(*args, cols=perm.reshape(-1, 1))
+    rows = np.arange(real.m)
+    for a, b in zip(full[:5], pair[:5]):
+        assert a[rows, perm].tobytes() == b[:, 0].tobytes()
+    assert full[5].tobytes() == pair[5].tobytes()
+    use = ExtraIndividualProblem(real, BUD).use_at(perm, prices)
+    assert use.tobytes() == full[1][rows, perm].tobytes()
