@@ -48,8 +48,9 @@ def evaluate_baseline(real: ChannelRealization, pairing: np.ndarray, *,
 
     if total_budget is not None:
         problem = (ExtraTotalProblem if extra_direct else TotalProblem)(real, total_budget)
-        problem.candidate(perm)
-        rate, _, alloc, diag = problem.result()
+        rate, powered, prices, diag = problem.allocate(perm, problem.start(perm))
+        problem.keep(rate, perm, powered, prices, diag)
+        rate, _, alloc, diag = problem.finish()
     elif extra_direct:
         rate, alloc, (mu_s, mu_r), diag = ExtraIndividualProblem(real, budgets).scan(perm)
         diag = {"mu_s": mu_s, "mu_r": mu_r, **diag}

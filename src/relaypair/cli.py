@@ -79,8 +79,7 @@ def cmd_solve(args) -> int:
         else:
             with open(args.trace, "w", newline="") as fh:
                 out = csv.writer(fh)
-                out.writerow(["iter", "mu", "alpha_norm", "power_sum",
-                              "dual_value"])
+                out.writerow(["iter", "mu", "mu_r", "power_sum", "dual_value"])
                 for i, row in enumerate(rep.trace, 1):
                     out.writerow([i] + [repr(float(x)) for x in row])
     return 0
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_constraint_args(p)
     p.add_argument("--baseline", choices=[k.value for k in BaselineKind])
     p.add_argument("--trace", help="write the dual trace CSV here: one row per "
-                   "assignment evaluation of the dual driver")
+                   "point of the dual driver")
     p.add_argument("--bits", action="store_true", help="report rates in bits")
     p.set_defaults(func=cmd_solve)
 

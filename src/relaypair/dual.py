@@ -1,4 +1,4 @@
-"""The dual drivers that solve the four problems.
+"""The dual driver that solves the four problems.
 
 Each problem is relaxed the same way: one price per power budget (mu for a
 shared budget, (mu_s, mu_r) for separate source and relay budgets) and one
@@ -10,26 +10,23 @@ of subcarriers grows.
 Minimized over alpha, the dual at fixed power prices is a max-weight
 assignment on the alpha-free scores (``DualProblem.assign``, a LAP solved
 by ``linear_sum_assignment``; Crouse, IEEE TAES 2016).  What is left is a
-convex function D of the power prices, with subgradient the budgets minus
-the consumption at the assignment.  (The paper instead takes subgradient
-steps on all the prices, alpha included.)  Two drivers minimize it, and
-every assignment permutation they meet is a candidate:
+convex function D of the power prices, D = assignment + sum_j mu_j P_j,
+with subgradient the budgets minus the consumption at the assignment.
+(The paper instead takes subgradient steps on all the prices, alpha
+included.)  ``cuts`` minimizes it by Kelley's cutting planes (SIAM J. 1960;
+Cheney & Goldstein, Numer. Math. 1959), each step the exact minimum of the
+cut model over a box: constraint generation over a few cuts, each round a
+vertex enumeration of the 2-D model.  A shared budget's model, in its one
+price, is solved as a 2-D one whose second coordinate is held at 0 with a
+zero subgradient.  Every assignment permutation the driver meets is a
+candidate.
 
-- ``search`` drives the shared-budget problems: a bracketed 1-D search on
-  D(mu) = assignment(mu) + mu P, where the water price of each candidate
-  is the next mu to try whenever it lies inside the bracket;
-- ``cuts`` drives the split-budget problems: Kelley's cutting planes (SIAM
-  J. 1960; Cheney & Goldstein, Numer. Math. 1959) on
-  D(mu_s, mu_r) = assignment + mu_s Ps + mu_r Pr, each step the exact
-  minimum of the cut model over a box: constraint generation over a few
-  cuts, each round a vertex enumeration of the 2-D model.
-
-Neither draws a random number.  ``SolverConfig.max_iter_hard`` caps their
-assignment evaluations.
+The driver draws no random number.  ``SolverConfig.max_iter_hard`` caps
+its points.
 
 A problem (a ``DualProblem`` subclass) supplies its budgets, the score
 matrix at given prices, the consumption per budget at the chosen columns,
-and its candidate evaluation.
+its final candidates and its candidate allocation.
 """
 
 from __future__ import annotations
@@ -41,32 +38,37 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kernels import MU_FLOOR
-from .pairing import scp_pairing
 from .types import Allocation, ChannelRealization, SolveReport, SolverConfig
 
-_BRACKET_TOL = 1e-12      # relative bracket width at which ``search`` stops
 _SETTLE_ROUNDS = 5        # allocations per candidate while its relay use changes
 _CUT_RTOL = 1e-9          # relative gap at which ``cuts`` stops
 _CUT_STALL = 5            # points in a row that do not narrow the model gap, at which ``cuts`` stops
 
 
 class DualProblem:
-    """One problem as the driver sees it.
+    """One problem as the driver sees it, and its candidate pipeline.
 
     Subclasses implement:
 
     - ``scores(prices)``: the M x M alpha-free pair scores, keeping what
-      ``used`` and the candidate evaluation need at the same prices;
+      ``used`` and ``start`` need at the same prices;
     - ``used(sel)``: the consumption per budget when row k takes column
       sel[k], at the prices of the last ``scores`` call;
+    - ``start(perm)``: what the allocation of a candidate pairing starts
+      from, read at the prices of the last ``scores`` call;
+    - ``allocate(perm, start)``: the candidate's (rate, allocation, prices,
+      diagnostics);
 
-    and the candidate pipeline of its driver:
+    and set ``finals``, the pairings allocated before the first point.
 
-    - ``solver_total.SharedProblem`` (a shared budget): ``candidate(perm)``
-      and ``result()`` for ``search``;
-    - ``solver_individual.SplitProblem`` (split budgets): ``begin()``,
-      ``consider(perm, start)``, ``cut_rows()`` and ``finish()`` for
-      ``cuts``.
+    A candidate (a pairing and its start) is allocated once.  The
+    assignment at the prices of its allocation bounds the dual, and its
+    permutation is queued (``pending``).  Every assignment is kept as a cut
+    for ``dual.cuts``: its prices, dual value and consumption, and it is
+    solved once per price vector.  ``begin`` allocates the finals, each from
+    ``first(perm)`` (``start`` unless a subclass says otherwise), and
+    returns the best candidate's prices; ``finish`` returns (rate, pairing,
+    allocation, diagnostics) of the best candidate.
 
     ``use_at(perm, prices)``, the relay use of a pairing at given prices,
     lets ``settle`` re-decide a candidate's relay use.
@@ -77,11 +79,17 @@ class DualProblem:
         self.budgets = budgets
         self.rows = np.arange(real.m)
         self.bound = np.inf   # lowest dual bound found
-        self.best = None      # (rate, ...) of the best candidate so far
+        self.best = None      # (rate, perm, allocation, prices, diagnostics) of the best candidate
+        self.seen: set[bytes] = set()
+        self.pending: list[tuple] = []
+        self.assigned: dict[tuple, tuple] = {}   # prices -> what ``assign`` returned there
 
     def keep(self, rate, *candidate) -> None:
         if self.best is None or rate > self.best[0]:
             self.best = (rate, *candidate)
+
+    def first(self, perm):
+        return self.start(perm)
 
     def settle(self, perm, use, allocate):
         """Allocate the pairing from relay use ``use`` and re-decide relay
@@ -103,13 +111,47 @@ class DualProblem:
 
     def assign(self, prices):
         """The dual minimized over alpha at fixed power prices is a
-        max-weight assignment on the alpha-free scores.  Lowers the bound
-        and returns (bound, assignment permutation)."""
-        scores = self.scores(prices)
-        rows, perm = linear_sum_assignment(-scores)
-        bound = _dual(scores[rows, perm].sum(), prices, self.budgets)
-        self.bound = min(self.bound, bound)
-        return bound, perm.astype(np.int64)
+        max-weight assignment on the alpha-free scores.  Lowers the bound,
+        keeps the cut and returns (bound, assignment permutation,
+        consumption, its ``start``); a price vector met before returns what
+        it gave then."""
+        key = tuple(map(float, prices))
+        if key not in self.assigned:
+            scores = self.scores(prices)
+            rows, perm = linear_sum_assignment(-scores)
+            perm = perm.astype(np.int64)
+            bound = _dual(scores[rows, perm].sum(), prices, self.budgets)
+            used = self.used(perm)
+            self.bound = min(self.bound, bound)
+            self.assigned[key] = (bound, perm, used, self.start(perm))
+        return self.assigned[key]
+
+    def cut_rows(self):
+        """(prices, dual values, subgradients) of the cuts so far."""
+        rows = np.array([(*key, bound, *used)
+                         for key, (bound, _, used, _) in self.assigned.items()])
+        n = len(self.budgets)
+        return rows[:, :n], rows[:, n], np.array(self.budgets) - rows[:, n + 1:]
+
+    def consider(self, perm, start):
+        key = perm.tobytes() + start.tobytes()
+        if key in self.seen:
+            return
+        self.seen.add(key)
+        rate, alloc, prices, diag = self.allocate(perm, start)
+        if np.isfinite(prices).all():
+            _, nxt, _, nxt_start = self.assign(prices)
+            self.pending.append((nxt, nxt_start))
+        self.keep(rate, perm, alloc, prices, diag)
+
+    def begin(self):
+        for perm in self.finals:
+            self.consider(perm, self.first(perm))
+        return self.best[3]
+
+    def finish(self):
+        rate, perm, alloc, _, diag = self.best
+        return rate, perm, alloc, diag
 
 
 def _dual(row_sum, prices, budgets):
@@ -133,71 +175,6 @@ def _silent(problem: DualProblem, collect_trace: bool) -> SolveReport:
     return SolveReport(pairing=alloc.pairing.copy(), allocation=alloc,
                        primal_rate=0.0, dual_value=0.0, iterations=0, converged=True,
                        trace=np.zeros((0, 4)) if collect_trace else None)
-
-
-def search(problem: DualProblem, cfg: SolverConfig | None = None,
-           collect_trace: bool = False) -> SolveReport:
-    """Minimize the assignment dual D(mu) of a shared-budget problem and
-    report the best candidate with the lowest D found.
-
-    The search starts at the water price of the rank-matched pairing.  At
-    each mu it solves the assignment, whose subgradient P - used moves one
-    end of the bracket [lo, hi] around the minimum, and water-fills the
-    assignment permutation.  That candidate's water price is the next mu
-    while it lies strictly inside the bracket; otherwise mu doubles or
-    halves until the bracket closes, then the bracket is bisected
-    geometrically.  It stops when the water price equals mu (the
-    candidate's rate then equals D(mu): a zero gap), when the subgradient
-    is 0, when the bracket is narrower than _BRACKET_TOL relative (or
-    below MU_FLOOR, where the prices are floored), or after
-    ``cfg.max_iter_hard`` evaluations.
-
-    ``iterations`` counts the assignment evaluations and ``converged`` says
-    whether a stopping rule held before the cap.  Trace rows are (mu, 0,
-    consumption at the assignment, D(mu)).
-    """
-    cfg = cfg or SolverConfig()
-    if not _carries_rate(problem.real):
-        return _silent(problem, collect_trace)
-    trace = np.zeros((cfg.max_iter_hard, 4)) if collect_trace else None
-    budget = problem.budgets[0]
-    price = problem.candidate(scp_pairing(problem.real))
-    lo, hi = 0.0, math.inf
-    mu = max(price, MU_FLOOR)
-    converged = False
-    it = 0
-    while it < cfg.max_iter_hard:
-        it += 1
-        bound, perm = problem.assign((mu,))
-        # the candidate may re-score at other prices: read the use first
-        used = sum(problem.used(perm))
-        if trace is not None:
-            trace[it - 1] = (mu, 0.0, used, bound)
-        price = problem.candidate(perm)
-        if used == budget or price == mu:
-            converged = True
-            break
-        if used > budget:
-            lo = mu
-        else:
-            hi = mu
-        if hi <= MU_FLOOR or hi - lo <= _BRACKET_TOL * lo:
-            converged = True
-            break
-        if lo < price < hi:
-            mu = max(price, MU_FLOOR)
-        elif hi == math.inf:
-            mu = 2.0 * lo
-        elif lo == 0.0:
-            mu = max(0.5 * hi, MU_FLOOR)
-        else:
-            mu = math.sqrt(lo * hi)
-    rate, perm, alloc, diag = problem.result()
-    return SolveReport(
-        pairing=perm, allocation=alloc, primal_rate=rate,
-        dual_value=problem.bound, iterations=it,
-        converged=converged, trace=trace[:it].copy() if collect_trace else None,
-        diagnostics=diag)
 
 
 def _combinations(n, r):
@@ -292,33 +269,42 @@ def _model_minimum(planes, lo, hi, work):
     return level[top], x, [work[i] for i in keep]
 
 
+def _pad(a):
+    """``a`` with its last axis padded by zeros to length 2: a cut model in
+    one price as a 2-D one, whose second coordinate is held at 0 by the box
+    and has a zero subgradient."""
+    a = np.asarray(a, dtype=float)
+    return np.concatenate([a, np.zeros(a.shape[:-1] + (2 - a.shape[-1],))], axis=-1)
+
+
 def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
          collect_trace: bool = False) -> SolveReport:
-    """Minimize the assignment dual D(mu_s, mu_r) of a split-budget problem
-    by Kelley's cutting planes and report the best candidate with the
-    lowest D found.
+    """Minimize the assignment dual D of a problem's power prices by
+    Kelley's cutting planes and report the best candidate with the lowest D
+    found.
 
-    Every assignment evaluation gives D and a subgradient (Ps - used_s,
-    Pr - used_r) at its prices: a cut below the convex D, which the problem
-    keeps (``cut_rows``).  The problem allocates its final candidates first
-    (``begin``), and the driver starts at the prices of the best of them.
-    At each point it solves the assignment and allocates the assignment
-    permutation as a candidate, then moves to the minimum of the cut model
-    over the box that holds the minimum of D: mu_j <= D / P_j, since the
-    assignment is never negative (twice the largest price tried, and at
-    least 1, for a budget P_j of 0).  It stops when the bound is within
-    _CUT_RTOL relative of the larger of the model minimum and the best
-    rate, when the model minimum is the point just tried, when _CUT_STALL
-    points in a row do not narrow the model gap (the bound less the model
-    minimum: where a duality gap remains, or where the zigzag of Kelley's
-    points into a kink stops gaining), or after ``cfg.max_iter_hard``
-    points.  Each model minimum starts from the cuts highest at the last
-    one and the cuts added since.  The problem then allocates the rest of
-    its candidates (``finish``).
+    Every assignment evaluation gives D and a subgradient (the budgets less
+    the consumption at the assignment) at its prices: a cut below the
+    convex D, which the problem keeps (``cut_rows``).  The problem allocates
+    its final candidates first (``begin``), and the driver starts at the
+    prices of the best of them, whose assignment ``begin`` has already
+    solved.  At each point it takes the assignment and allocates the
+    assignment permutation as a candidate, then moves to the minimum of the
+    cut model over the box that holds the minimum of D: mu_j <= D / P_j,
+    since the assignment is never negative (twice the largest price tried,
+    and at least 1, for a budget P_j of 0).  It stops when the bound is
+    within _CUT_RTOL relative of the larger of the model minimum and the
+    best rate, when the model minimum is the point just tried, when
+    _CUT_STALL points in a row do not narrow the model gap (the bound less
+    the model minimum: where a duality gap remains, or where the zigzag of
+    Kelley's points into a kink stops gaining), or after
+    ``cfg.max_iter_hard`` points.  Each model minimum starts from the cuts
+    highest at the last one and the cuts added since.  The problem then
+    reports its best candidate (``finish``).
 
-    ``iterations`` counts the driver's assignment evaluations and
-    ``converged`` says whether a stopping rule held before the cap.  Trace
-    rows are (mu_s, 0, consumption at the assignment, D).
+    ``iterations`` counts the driver's points and ``converged`` says
+    whether a stopping rule held before the cap.  Trace rows are (mu or
+    mu_s, mu_r or 0, consumption at the assignment, D).
     """
     cfg = cfg or SolverConfig()
     if not _carries_rate(problem.real):
@@ -334,10 +320,10 @@ def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
     stall = it = 0
     while it < cfg.max_iter_hard:
         it += 1
-        bound, perm = problem.assign(tuple(x))
+        bound, perm, used, start = problem.assign(tuple(x))
         if trace is not None:
-            trace[it - 1] = (x[0], 0.0, sum(problem.used(perm)), bound)
-        problem.consider(perm, problem.start(perm))
+            trace[it - 1] = (*_pad(x), sum(used), bound)
+        problem.consider(perm, start)
         bound = problem.bound
         tol = _CUT_RTOL * abs(bound)
         if bound - max(floor, problem.best[0]) <= tol:
@@ -348,12 +334,14 @@ def cuts(problem: DualProblem, cfg: SolverConfig | None = None,
         if stall >= _CUT_STALL:
             converged = True
             break
-        planes = problem.cut_rows()
+        pts, vals, grads = problem.cut_rows()
         top = np.where(budgets > 0.0, bound / np.where(budgets > 0.0, budgets, 1.0),
-                       np.maximum(2.0 * planes[0].max(axis=0), 1.0))
-        step, nxt, active = _model_minimum(planes, np.minimum(top, MU_FLOOR), top,
-                                           active + list(range(seen, planes[1].size)))
-        seen = planes[1].size
+                       np.maximum(2.0 * pts.max(axis=0), 1.0))
+        step, nxt, active = _model_minimum((_pad(pts), vals, _pad(grads)),
+                                           _pad(np.minimum(top, MU_FLOOR)), _pad(top),
+                                           active + list(range(seen, vals.size)))
+        nxt = nxt[:x.size]
+        seen = vals.size
         floor = max(floor, step)
         if np.array_equal(nxt, x):
             converged = True

@@ -1,8 +1,8 @@
-"""Hot numeric kernels: pair scores for the dual drivers, and water-filling.
+"""Hot numeric kernels: pair scores for the dual driver, and water-filling.
 
 Everything here is plain vectorized numpy.  The score kernels build the
-O(M^2) pair-score matrices that the dual drivers (``relaypair.dual``)
-evaluate at every step, so each problem allocates its M x M buffers once
+O(M^2) pair-score matrices that the dual driver (``relaypair.dual``)
+evaluates at every step, so each problem allocates its M x M buffers once
 and the kernels write into them (the ``out`` keyword) instead of
 allocating fresh matrices at every step.
 Water-filling and the source-pinned ``nu_solve`` share one exact water-level

@@ -6,11 +6,10 @@ single-slot channels instead of one.  Relay use on a pair is admissible as
 soon as a_sr > a_sd (the second slot is no longer free, so the comparison
 against staying direct moves into the scores themselves).
 
-Both are problems for the dual drivers (``relaypair.dual``).
-``solve_extra_total`` runs the assignment-dual search (``dual.search``) on
-its one shared budget, through the candidate pipeline of
-``solver_total.SharedProblem``, and ``solve_extra_individual`` the
-cutting planes (``dual.cuts``) on the split budgets, through that of
+Both are problems for the cutting planes of ``dual.cuts``.
+``solve_extra_total`` runs them on its one shared budget, through the
+candidate pipeline of ``solver_total.SharedProblem``, and
+``solve_extra_individual`` on the split budgets, through that of
 ``solver_individual.SplitProblem``.  A candidate fixes its pairing and
 relay-use pattern, which fixes its channel list (``channel.pair_channels``:
 entry k is pair k's relay or first-slot channel, entry M + k its second
@@ -33,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_extra
-from .dual import cuts, search
+from .dual import cuts
 from .kernels import _inv_gain, _mode_buffers, extra_ind_scores, extra_scores
 from .rates import weighted_sum_rate
 from .refine import split_solve, zero_crossing_refine
@@ -75,8 +74,8 @@ class ExtraTotalProblem(SharedProblem):
 def solve_extra_total(real: ChannelRealization, budget: float,
                       cfg: SolverConfig | None = None,
                       collect_trace: bool = False) -> SolveReport:
-    """The assignment-dual search on one shared budget."""
-    return search(ExtraTotalProblem(real, budget), cfg, collect_trace)
+    """Kelley's cutting planes on one shared budget."""
+    return cuts(ExtraTotalProblem(real, budget), cfg, collect_trace)
 
 
 # -- individual budgets ------------------------------------------------------

@@ -23,17 +23,11 @@ from .types import ChannelRealization, IndividualBudgets, SolveReport, SolverCon
 class SplitProblem(DualProblem):
     """The candidate pipeline of a split-budget problem.
 
-    A candidate (a pairing, plus ``start(perm)``: what its allocation starts
-    from, read at the prices of the last ``scores`` call) is allocated by
-    ``allocate(perm, start)``, which returns (rate, allocation, (mu_s, mu_r),
-    diagnostics).  The assignment at those prices bounds the dual, and its
-    permutation is queued.  Every assignment is kept as a cut for
-    ``dual.cuts``: its prices, dual value and consumption.  ``begin`` adds
-    the rank-matched, identity and warm pairings (each starting from
-    ``first(perm)``) and returns the best candidate's prices; ``finish``
-    drains the queue (at most 3M candidates), tries swaps in the best
-    pairing (``polish``) and returns (rate, pairing, allocation,
-    diagnostics) of the best candidate.
+    ``allocate(perm, start)`` returns the candidate's refined prices (mu_s,
+    mu_r).  The finals are the rank-matched, identity and warm pairings.
+    ``finish`` drains the queue of assignment permutations (at most 3M
+    candidates) and tries swaps in the best pairing (``polish``) before it
+    reports the best candidate.
     """
 
     def __init__(self, real: ChannelRealization, budgets: IndividualBudgets,
@@ -42,41 +36,9 @@ class SplitProblem(DualProblem):
         self.split = budgets
         warm = [] if warm_pairing is None else [np.asarray(warm_pairing, dtype=np.int64)]
         self.finals = [scp_pairing(real), self.rows.copy(), *warm]
-        self.seen: set[bytes] = set()
-        self.pending: list[tuple] = []
-        self.planes: list[tuple] = []
 
     def start(self, perm):
         return perm[:0]
-
-    def first(self, perm):
-        return perm[:0]
-
-    def assign(self, prices):
-        bound, perm = super().assign(prices)
-        self.planes.append((*prices, bound, *self.used(perm)))
-        return bound, perm
-
-    def cut_rows(self):
-        """(prices, dual values, subgradients) of the cuts so far."""
-        rows = np.array(self.planes)
-        return rows[:, :2], rows[:, 2], np.array(self.budgets) - rows[:, 3:]
-
-    def consider(self, perm, start):
-        key = perm.tobytes() + start.tobytes()
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        rate, alloc, prices, diag = self.allocate(perm, start)
-        if np.isfinite(prices).all():
-            nxt = self.assign(prices)[1]
-            self.pending.append((nxt, self.start(nxt)))
-        self.keep(rate, perm, alloc, prices, diag)
-
-    def begin(self):
-        for perm in self.finals:
-            self.consider(perm, self.first(perm))
-        return self.best[3]
 
     def finish(self):
         # each refined candidate's prices give an assignment permutation,
@@ -86,8 +48,7 @@ class SplitProblem(DualProblem):
                 break
             self.consider(*self.pending.pop())
         self.polish()
-        rate, perm, alloc, _, diag = self.best
-        return rate, perm, alloc, diag
+        return super().finish()
 
     def polish(self):
         """Swap the partners of two rows of the best pairing while that can

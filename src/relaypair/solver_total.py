@@ -3,9 +3,9 @@
 ``SharedProblem`` is the candidate pipeline of both shared-budget problems:
 one power price mu, and a candidate that water-fills the channel list of
 its permutation.  ``TotalProblem`` scores pairs by ``kernels.total_scores``.
-``solve_total`` runs the assignment-dual search (``dual.search``): at each
-mu the max-weight assignment bounds the dual, and its permutation is the
-next candidate.
+``solve_total`` runs the cutting planes (``dual.cuts``) in the one price
+mu: at each mu the max-weight assignment bounds the dual, and its
+permutation is the next candidate.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import channel_allocation, pair_channels, pair_tables, relay_mask_total
-from .dual import DualProblem, search
+from .dual import DualProblem, cuts
 from .kernels import _buffers, _inv_gain, total_scores
+from .pairing import scp_pairing
 from .rates import weighted_sum_rate
 from .types import ChannelRealization, SolveReport, SolverConfig
 from .waterfill import waterfill_or_zero
@@ -22,12 +23,20 @@ from .waterfill import waterfill_or_zero
 
 class SharedProblem(DualProblem):
     """Subclasses keep ``use_relay``, the M x M relay use at the last
-    scores, and set ``extra`` when a direct pair reuses its second slot."""
+    scores, and set ``extra`` when a direct pair reuses its second slot.
+
+    The one final is the rank-matched pairing.  A candidate starts from
+    its relay use at the last scores and is kept in channel form, (use,
+    powers, c_s, c_r); ``finish`` turns the best one into an allocation."""
 
     extra = False
 
     def __init__(self, real: ChannelRealization, budget: float):
         super().__init__(real, (float(budget),))
+        self.finals = [scp_pairing(real)]
+
+    def start(self, perm):
+        return self.use_relay[self.rows, perm]
 
     def allocate_pattern(self, perm, use):
         """Water-fill the channel list of (perm, use): (rate, (use, powers,
@@ -36,19 +45,14 @@ class SharedProblem(DualProblem):
         wf = waterfill_or_zero(gains, w, self.budgets[0])
         return wf.rate(gains, w), (use, wf.powers, c_s, c_r), (wf.water_price,)
 
-    def candidate(self, perm):
-        """Keep the permutation if it is the best so far; returns its water
-        price.  May re-score: read ``used`` before."""
-        rate, powered, (price,) = self.settle(perm, self.use_relay[self.rows, perm],
-                                              self.allocate_pattern)
-        self.keep(rate, perm, powered, price)
-        return price
+    def allocate(self, perm, start):
+        rate, powered, prices = self.settle(perm, start, self.allocate_pattern)
+        return rate, powered, prices, {"water_price": prices[0]}
 
-    def result(self):
-        _, perm, powered, price = self.best
+    def finish(self):
+        _, perm, powered, diag = super().finish()
         alloc = channel_allocation(perm, *powered)
-        return (weighted_sum_rate(self.real, alloc, extra_allowed=self.extra), perm, alloc,
-                {"water_price": price})
+        return weighted_sum_rate(self.real, alloc, extra_allowed=self.extra), perm, alloc, diag
 
 
 class TotalProblem(SharedProblem):
@@ -76,5 +80,5 @@ class TotalProblem(SharedProblem):
 def solve_total(real: ChannelRealization, budget: float,
                 cfg: SolverConfig | None = None,
                 collect_trace: bool = False) -> SolveReport:
-    """The assignment-dual search on one shared budget."""
-    return search(TotalProblem(real, budget), cfg, collect_trace)
+    """Kelley's cutting planes on one shared budget."""
+    return cuts(TotalProblem(real, budget), cfg, collect_trace)

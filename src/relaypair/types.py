@@ -135,14 +135,11 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limit of the dual drivers of ``relaypair.dual``.
+    """Iteration limit of the dual driver ``relaypair.dual.cuts``.
 
-    The shared-budget solvers run the assignment-dual search
-    (``dual.search``) and the split-budget solvers the cutting planes
-    (``dual.cuts``).  ``max_iter_hard`` caps the assignment evaluations of
-    both: the search's steps and the cuts.  Neither driver, nor any
-    baseline, draws a random number.  The stopping thresholds are
-    constants of ``relaypair.dual``."""
+    All four solvers run its cutting planes, and ``max_iter_hard`` caps its
+    points.  Neither the driver nor any baseline draws a random number.
+    The stopping thresholds are constants of ``relaypair.dual``."""
 
     max_iter_hard: int = 30000
 

@@ -33,8 +33,10 @@ def test_solve_individual_with_trace(instance_path, tmp_path, capsys):
     assert rc == 0
     with open(trace, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "mu", "alpha_norm", "power_sum", "dual_value"]
+    assert rows[0] == ["iter", "mu", "mu_r", "power_sum", "dual_value"]
     assert len(rows) > 1
+    # the relay price is column 2
+    assert all(float(row[2]) > 0.0 for row in rows[1:])
 
 
 def test_solve_total_trace_has_a_row_per_assignment(instance_path, tmp_path, capsys):
@@ -46,9 +48,9 @@ def test_solve_total_trace_has_a_row_per_assignment(instance_path, tmp_path, cap
     iterations = int(next(line for line in out if line.startswith("iterations")).split()[1])
     with open(trace, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "mu", "alpha_norm", "power_sum", "dual_value"]
+    assert rows[0] == ["iter", "mu", "mu_r", "power_sum", "dual_value"]
     assert len(rows) - 1 == iterations >= 1
-    # the search has no pairing prices
+    # a shared budget has no relay price
     assert all(float(row[2]) == 0.0 for row in rows[1:])
 
 

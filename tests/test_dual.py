@@ -1,7 +1,7 @@
-"""The dual drivers: input without a channel that can carry rate, the
-assignment-dual search of the shared-budget problems against the rates the
-subgradient method reached, the cutting planes of the split-budget
-problems on gains spanning many decades, their cut-model minimum against
+"""The dual driver: input without a channel that can carry rate, the
+cutting planes of the shared-budget problems at a duality-gap kink and
+against the rates the subgradient method reached, those of the
+split-budget problems on gains spanning many decades, their cut-model minimum against
 exact vertex enumeration and below the bound, generated instances of all four
 problems against the brute-force optimum (the reference value with
 extra-direct reuse under split budgets) and of the split-budget solvers
@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import relaypair.dual as dual
-from relaypair import (BaselineKind, ChannelRealization, IndividualBudgets, WeightRule,
-                       assert_feasible, baseline_pairing, evaluate_baseline,
+from relaypair import (BaselineKind, ChannelRealization, IndividualBudgets, RicianConfig,
+                       WeightRule, assert_feasible, baseline_pairing, evaluate_baseline,
                        exhaustive_extra_total, exhaustive_individual, exhaustive_total,
-                       reference_extra_individual, solve_extra_individual,
-                       solve_extra_total, solve_individual, solve_total,
-                       validate_allocation)
+                       reference_extra_individual, sample_realization,
+                       solve_extra_individual, solve_extra_total, solve_individual,
+                       solve_total, validate_allocation)
 from relaypair.experiments import solve_proposed
 from relaypair.kernels import MU_FLOOR
 from relaypair.solver_extra import ExtraTotalProblem
@@ -34,6 +35,7 @@ from conftest import manual_real, random_real
 
 SPLIT = IndividualBudgets(4.0, 1.0)
 CALLS_WHEN_ALTERNATING = 40
+CALLS_AT_THE_KINK = 12
 
 
 @pytest.mark.parametrize("solver, budget, extra", [
@@ -96,10 +98,10 @@ def test_subnormal_input_is_flushed_to_zero(case):
                 twin, extra_direct=extra, **limits).primal_rate
 
 
-def test_search_bisects_when_pairings_alternate(monkeypatch):
-    # two assignments returned in turn, whatever the price: each one's water
-    # price is already an end of the bracket after it has been tried once,
-    # so the search bisects the bracket until it is 1e-12 wide
+def test_cuts_converge_when_pairings_alternate(monkeypatch):
+    # two assignments returned in turn, whatever the price (so the bound is
+    # not a dual bound): the driver still stops within a bounded number of
+    # assignments, with a feasible allocation
     turns = [np.array([1, 0, 3, 2]), np.array([0, 1, 2, 3])]
     calls = []
 
@@ -110,8 +112,30 @@ def test_search_bisects_when_pairings_alternate(monkeypatch):
     monkeypatch.setattr(dual, "linear_sum_assignment", spy)
     real = random_real(4, seed=5)
     rep = solve_total(real, 5.0)
-    assert len(calls) == rep.iterations == CALLS_WHEN_ALTERNATING
+    assert len(calls) <= CALLS_WHEN_ALTERNATING
+    assert 1 <= rep.iterations <= len(calls)
     assert rep.converged
+    assert_feasible(real, rep.allocation, total_budget=5.0)
+
+
+def test_a_duality_gap_kink_takes_few_assignments(monkeypatch):
+    # D(mu) has its minimum at a kink between two pairings, with a duality
+    # gap of 8.9e-5 relative: a bisection of the price down to 1e-12 spent
+    # 39 assignments here, though the bound stopped moving after about 5
+    calls = []
+
+    def spy(cost):
+        calls.append(cost)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(dual, "linear_sum_assignment", spy)
+    cfg = RicianConfig(k_factor=1.0, mean_sq_sr=5.0, mean_sq_sd=1.0, mean_sq_rd=1.0,
+                       noise_var=1.0, m=8, weight_rule=WeightRule.ALL_ONE)
+    real = sample_realization(cfg, 68112)
+    rep = solve_total(real, 5.0)
+    assert len(calls) <= CALLS_AT_THE_KINK
+    assert rep.primal_rate == pytest.approx(2.0244195134894936, rel=1e-12)
+    assert rep.primal_rate <= rep.dual_value <= 2.0245994338237736 * (1.0 + 1e-9)
     assert_feasible(real, rep.allocation, total_budget=5.0)
 
 
@@ -301,13 +325,15 @@ SUBGRADIENT_RATES = {
 }
 
 
-@pytest.mark.parametrize("problem", [TotalProblem, ExtraTotalProblem])
-def test_search_never_loses_to_the_subgradient_method(problem):
+@pytest.mark.parametrize("problem, solver", [(TotalProblem, solve_total),
+                                             (ExtraTotalProblem, solve_extra_total)],
+                         ids=["TotalProblem", "ExtraTotalProblem"])
+def test_search_never_loses_to_the_subgradient_method(problem, solver):
     for name, stats in PROFILES.items():
         for m in (8, 16):
             for t in range(3):
                 real = random_real(m, seed=4000 + 10 * m + t, **stats)
-                found = dual.search(problem(real, 5.0))
+                found = solver(real, 5.0)
                 iterated = SUBGRADIENT_RATES[problem.__name__][name][m][t]
                 assert found.converged
                 assert found.primal_rate >= iterated * (1.0 - 1e-12), (name, m, t)
